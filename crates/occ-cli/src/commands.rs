@@ -11,9 +11,9 @@ use occ_fleet::{
 };
 use occ_offline::{Belady, CostAwareBelady};
 use occ_probe::{
-    require_trailer, snapshot_from_json, snapshot_to_json, write_atomic, write_atomic_with_trailer,
-    CrcWriter, DualPoint, DualTrace, Json, JsonlSink, MetricsRecorder, ObserveReport, SeriesFile,
-    SeriesSink, WindowDelta, WindowedRecorder,
+    require_trailer, snapshot_from_json, write_atomic, write_checkpoint_file, AtomicWriter,
+    DualPoint, DualTrace, Json, JsonlSink, MetricsRecorder, ObserveReport, SeriesFile, SeriesSink,
+    WindowDelta, WindowedRecorder,
 };
 use occ_sim::concurrent::{replay_schedule, CommitSchedule, ReplayError, ReplayOutcome};
 use occ_sim::{
@@ -190,9 +190,20 @@ EXIT CODES:
   7 degraded (a supervised fleet quarantined a shard; report still written)
 
 POLICIES:
-  convex (the paper's algorithm), lru, fifo, lfu, marking, lru2, random,
-  greedy-dual, cost-greedy, belady (offline), belady-cost (offline)
+  convex (alias alg-discrete: the paper's algorithm), lru, fifo, lfu,
+  marking, lru2, random, greedy-dual, cost-greedy, belady (offline),
+  belady-cost (offline)
 ";
+
+/// Read `--policy`, resolving `alg-discrete` (the paper's name for its
+/// algorithm, used by the bench) to the CLI's name `convex`, so both
+/// names run, label and checkpoint identically.
+fn policy_arg(args: &Args, default: &str) -> String {
+    match args.str_or("policy", default) {
+        name if name == "alg-discrete" => "convex".into(),
+        name => name,
+    }
+}
 
 /// Classify a flag-parsing error as a usage error (exit 2).
 fn uarg<T>(r: Result<T, String>) -> Result<T, CliError> {
@@ -712,7 +723,7 @@ pub fn run(args: &Args) -> Result<(), CliError> {
     let scenario = find_scenario(&uarg(args.str_required("scenario"))?)?;
     let trace = load_or_generate(args, &scenario)?;
     let k: usize = uarg(args.num_or("k", scenario.suggested_k))?;
-    let policy_name = args.str_or("policy", "convex");
+    let policy_name = policy_arg(args, "convex");
     let mut policy = make_policy(&policy_name, &scenario.costs, &trace)?;
     let report = evaluate_policy(&mut policy, &trace, k, &scenario.costs);
 
@@ -798,7 +809,7 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
     if batch == 0 {
         return Err(CliError::Usage("--batch must be positive".into()));
     }
-    let policy_name = args.str_or("policy", "lru");
+    let policy_name = policy_arg(args, "lru");
     if policy_name == "belady" || policy_name == "belady-cost" {
         return Err(CliError::Usage(format!(
             "policy '{policy_name}' is offline; the fleet streams its workload \
@@ -971,19 +982,14 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
                 .merged_series
                 .as_ref()
                 .expect("supervised runs always carry a window series");
-            let mut buf = Vec::new();
-            {
-                let mut s = SeriesSink::new(&mut buf);
-                s.write_header(window, &meta);
-                for w in &series.windows {
-                    s.write_window(w);
-                }
-                s.finish()
-                    .map_err(|e| CliError::Io(format!("render series: {e}")))?;
+            let ioerr = |e: std::io::Error| CliError::Io(format!("write {series_out}: {e}"));
+            let mut s =
+                SeriesSink::new(AtomicWriter::create(Path::new(&series_out)).map_err(ioerr)?);
+            s.write_header(window, &meta);
+            for w in &series.windows {
+                s.write_window(w);
             }
-            let text = String::from_utf8(buf).expect("JSONL is UTF-8");
-            write_atomic_with_trailer(Path::new(&series_out), &text)
-                .map_err(|e| CliError::Io(format!("write {series_out}: {e}")))?;
+            s.finish().and_then(AtomicWriter::commit).map_err(ioerr)?;
         }
         report
     } else {
@@ -1245,7 +1251,7 @@ pub fn concurrent(args: &Args) -> Result<(), CliError> {
     if k == 0 {
         return Err(CliError::Usage("--k must be positive".into()));
     }
-    let policy_name = args.str_or("policy", "lru");
+    let policy_name = policy_arg(args, "lru");
     if make_shared_policy(&policy_name, &scenario.costs).is_none() {
         return Err(CliError::Usage(format!(
             "policy '{policy_name}' cannot share a cache across threads: shard \
@@ -1342,7 +1348,8 @@ pub fn concurrent(args: &Args) -> Result<(), CliError> {
 
     let sched_out = args.str_or("schedule-out", "");
     if !sched_out.is_empty() {
-        let mut body = schedule_header(
+        use std::io::Write as _;
+        let header = schedule_header(
             scenario.name,
             k,
             table_shards,
@@ -1350,13 +1357,15 @@ pub fn concurrent(args: &Args) -> Result<(), CliError> {
             &policy_name,
             degrade,
         );
-        body.push('\n');
-        for e in report.outcome.schedule.entries() {
-            body.push_str(&e.to_line());
-            body.push('\n');
-        }
-        write_atomic_with_trailer(Path::new(&sched_out), &body)
-            .map_err(|e| CliError::Io(format!("write {sched_out}: {e}")))?;
+        let write = || {
+            let mut w = AtomicWriter::create(Path::new(&sched_out))?;
+            writeln!(w, "{header}")?;
+            for e in report.outcome.schedule.entries() {
+                writeln!(w, "{}", e.to_line())?;
+            }
+            w.commit()
+        };
+        write().map_err(|e| CliError::Io(format!("write {sched_out}: {e}")))?;
         eprintln!(
             "wrote commit schedule ({} entries) to {sched_out}",
             report.outcome.schedule.len()
@@ -1553,7 +1562,7 @@ impl DriveOpts<'_> {
 }
 
 fn write_checkpoint(path: &str, snap: &EngineSnapshot) -> Result<(), CliError> {
-    write_atomic_with_trailer(Path::new(path), &(snapshot_to_json(snap) + "\n"))
+    write_checkpoint_file(Path::new(path), snap)
         .map_err(|e| CliError::Io(format!("write checkpoint {path}: {e}")))
 }
 
@@ -1785,7 +1794,7 @@ pub fn observe(args: &Args) -> Result<(), CliError> {
     let scenario = find_scenario(&uarg(args.str_required("scenario"))?)?;
     let trace = load_or_generate(args, &scenario)?;
     let k: usize = uarg(args.num_or("k", scenario.suggested_k))?;
-    let policy_name = args.str_or("policy", "convex");
+    let policy_name = policy_arg(args, "convex");
     let every: u64 = uarg(args.num_or("every", 1_000u64))?;
     let events_path = args.str_or("events", "");
     let out_path = args.str_or("out", "");
@@ -1877,7 +1886,7 @@ pub fn resume(args: &Args) -> Result<(), CliError> {
             snap.capacity
         )));
     }
-    let policy_name = args.str_or("policy", "convex");
+    let policy_name = policy_arg(args, "convex");
     let every: u64 = uarg(args.num_or("every", 1_000u64))?;
     let events_path = args.str_or("events", "");
     let out_path = args.str_or("out", "");
@@ -2162,29 +2171,15 @@ where
         }
     }
 
-    // The series streams to `<path>.tmp` through a CRC accumulator and
-    // only moves to its final name — trailer appended, fsynced, renamed
-    // — after a successful finish. A killed soak leaves the temp file
-    // behind; readers never see a torn or trailer-less final series.
-    // Targets that are not regular files (a device like /dev/full, a
-    // fifo feeding a live consumer) cannot be atomically replaced —
-    // renaming over them would swap the node out — so those are written
-    // in place and write errors still surface with the i/o class.
-    let series_direct = !opts.series_path.is_empty()
-        && std::fs::metadata(opts.series_path)
-            .map(|m| !m.is_file())
-            .unwrap_or(false);
-    let series_tmp = if series_direct {
-        Path::new(opts.series_path).to_path_buf()
-    } else {
-        occ_probe::atomicio::tmp_path(Path::new(opts.series_path))
-    };
+    // The series streams through the atomic writer: a killed soak
+    // leaves `<path>.tmp` behind, and readers never see a torn or
+    // trailer-less final series.
     let mut sink = if opts.series_path.is_empty() {
         None
     } else {
-        let file = File::create(&series_tmp)
-            .map_err(|e| CliError::Io(format!("create {}: {e}", series_tmp.display())))?;
-        let mut s = SeriesSink::new(CrcWriter::new(BufWriter::new(file)));
+        let w = AtomicWriter::create(Path::new(opts.series_path))
+            .map_err(|e| CliError::Io(format!("create {}: {e}", opts.series_path)))?;
+        let mut s = SeriesSink::new(w);
         s.write_header(opts.window, opts.meta);
         Some(s)
     };
@@ -2307,33 +2302,10 @@ where
     let series_lines = match sink {
         None => 0,
         Some(s) => {
-            let ioerr =
-                |e: std::io::Error| CliError::Io(format!("writing {}: {e}", opts.series_path));
             let lines = s.lines();
-            let mut w = s.finish().map_err(ioerr)?;
-            let crc = w.crc();
-            {
-                use std::io::Write as _;
-                // The trailer bypasses the CRC accumulator: it carries
-                // the checksum of everything before it.
-                w.inner_mut()
-                    .write_all(occ_probe::atomicio::trailer_line(crc).as_bytes())
-                    .and_then(|()| w.flush())
-                    .map_err(ioerr)?;
-            }
-            let (buf, _) = w.into_parts();
-            let file = buf
-                .into_inner()
+            s.finish()
+                .and_then(AtomicWriter::commit)
                 .map_err(|e| CliError::Io(format!("writing {}: {e}", opts.series_path)))?;
-            if series_direct {
-                // In-place target: nothing to rename, and fsync is not
-                // meaningful on devices/fifos.
-                drop(file);
-            } else {
-                file.sync_all().map_err(ioerr)?;
-                drop(file);
-                std::fs::rename(&series_tmp, opts.series_path).map_err(ioerr)?;
-            }
             lines
         }
     };
@@ -2361,7 +2333,7 @@ pub fn soak(args: &Args) -> Result<(), CliError> {
     if window == 0 {
         return Err(CliError::Usage("--window must be positive".into()));
     }
-    let policy_name = args.str_or("policy", "convex");
+    let policy_name = policy_arg(args, "convex");
     if policy_name == "belady" || policy_name == "belady-cost" {
         return Err(CliError::Usage(format!(
             "policy '{policy_name}' is offline; soak streams its workload \
@@ -2988,7 +2960,7 @@ mod tests {
             "{}\n5 0 0 0 0 ins\n",
             schedule_header("two-tier", 8, 2, 1, "lru", FaultPolicy::SkipAndCount)
         );
-        write_atomic_with_trailer(&gap, &body).unwrap();
+        occ_probe::write_atomic_with_trailer(&gap, &body).unwrap();
         let err =
             concurrent(&args(&["concurrent", "--replay", gap.to_str().unwrap()])).unwrap_err();
         assert_eq!(err.exit_code(), 4, "seq gap is a parse error");

@@ -278,3 +278,126 @@ fn soak_streams_binary_traces_but_rejects_text() {
     ]);
     assert_eq!(out.status.code(), Some(4));
 }
+
+#[test]
+fn alg_discrete_is_an_alias_of_convex() {
+    // `alg-discrete` is the paper's (and the bench's) name for the
+    // policy the CLI calls `convex`: same tables, series and checkpoint.
+    // Both runs write the same paths (the table names the series file).
+    let series = tmp("alias.jsonl");
+    let ck = tmp("alias.ckpt.json");
+    let run = |name: &str| {
+        let stdout = soak(
+            "12k",
+            &series,
+            &["--policy", name, "--checkpoint", ck.to_str().unwrap()],
+        );
+        // The req/s row is wall-clock; every other line must agree.
+        let table: Vec<String> = stdout
+            .lines()
+            .filter(|l| !l.contains("req/s"))
+            .map(str::to_string)
+            .collect();
+        (
+            table,
+            std::fs::read(&series).unwrap(),
+            std::fs::read(&ck).unwrap(),
+        )
+    };
+    let (convex, alias) = (run("convex"), run("alg-discrete"));
+    assert_eq!(convex.0, alias.0, "stdout tables");
+    assert!(convex.1 == alias.1, "series bytes differ");
+    assert!(convex.2 == alias.2, "checkpoint bytes differ");
+}
+
+#[test]
+fn checkpoint_into_a_missing_directory_exits_with_io_code() {
+    let dir = tmp("no-such-dir");
+    let _ = std::fs::remove_dir_all(&dir);
+    let ck = dir.join("ckpt.json");
+    let out = occ(&[
+        "soak",
+        "--scenario",
+        "two-tier",
+        "--len",
+        "10k",
+        "--window",
+        "5k",
+        "--k",
+        "24",
+        "--heartbeat",
+        "off",
+        "--checkpoint",
+        ck.to_str().unwrap(),
+    ]);
+    assert_eq!(
+        out.status.code(),
+        Some(3),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("write checkpoint"),
+        "names the failed write"
+    );
+    assert!(!dir.exists(), "a failed checkpoint creates nothing");
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn checkpoint_write_failing_midway_keeps_the_previous_checkpoint() {
+    let full = tmp("midway-full.jsonl");
+    let half = tmp("midway-half.jsonl");
+    let resumed = tmp("midway-resumed.jsonl");
+    let ck = tmp("midway.ckpt.json");
+    soak("20k", &full, &[]);
+    soak("10k", &half, &["--checkpoint", ck.to_str().unwrap()]);
+    let previous = std::fs::read(&ck).unwrap();
+    assert!(
+        previous.len() > 2048,
+        "the checkpoint outgrows the limit below"
+    );
+
+    // A file-size limit of 1 KiB (two 512-byte blocks) makes the next
+    // checkpoint write fail partway with EFBIG (SIGXFSZ is ignored, so
+    // the write returns the error instead of killing the process).
+    let out = Command::new("sh")
+        .args([
+            "-c",
+            "trap '' XFSZ; ulimit -f 2; exec \"$0\" \"$@\"",
+            env!("CARGO_BIN_EXE_occ"),
+            "soak",
+            "--scenario",
+            "two-tier",
+            "--len",
+            "20k",
+            "--window",
+            "5k",
+            "--k",
+            "24",
+            "--seed",
+            "9",
+            "--heartbeat",
+            "off",
+            "--checkpoint",
+            ck.to_str().unwrap(),
+        ])
+        .output()
+        .expect("run occ under sh");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "stderr: {stderr}");
+    assert!(stderr.contains("write checkpoint"), "stderr: {stderr}");
+    let tmp_file = ck.with_file_name("midway.ckpt.json.tmp");
+    assert!(!tmp_file.exists(), "the torn temp file is removed");
+    assert_eq!(
+        std::fs::read(&ck).unwrap(),
+        previous,
+        "the previous checkpoint is untouched"
+    );
+
+    // ... and still resumes into the uninterrupted series.
+    soak("20k", &resumed, &["--from", ck.to_str().unwrap()]);
+    let mut spliced = window_lines(&half);
+    spliced.extend(window_lines(&resumed));
+    assert_eq!(spliced, window_lines(&full));
+}

@@ -47,9 +47,8 @@
 //! regenerate it.
 
 use crate::{FleetConfig, FleetReport, ShardReport};
-use occ_probe::atomicio;
 use occ_probe::{
-    snapshot_to_json, Json, MetricsRecorder, SeriesSink, WindowDelta, WindowSeries,
+    write_checkpoint_file, Json, MetricsRecorder, SeriesSink, WindowDelta, WindowSeries,
     WindowedRecorder,
 };
 use occ_sim::{EngineSnapshot, ReplacementPolicy, SeekableSource, SimStats, SteppingEngine};
@@ -396,8 +395,7 @@ impl DirPersist {
 
 impl ShardPersist for DirPersist {
     fn save_checkpoint(&mut self, snap: &EngineSnapshot) -> io::Result<()> {
-        let body = snapshot_to_json(snap) + "\n";
-        atomicio::write_atomic_with_trailer(&self.ckpt_path, &body)
+        write_checkpoint_file(&self.ckpt_path, snap)
     }
 
     fn append_window(&mut self, w: &WindowDelta) -> io::Result<()> {
@@ -417,10 +415,7 @@ impl ShardPersist for DirPersist {
         if self.finished {
             return Ok(());
         }
-        let crc = self.series.crc();
-        self.series
-            .inner_mut()
-            .write_all(atomicio::trailer_line(crc).as_bytes())?;
+        self.series.write_trailer()?;
         self.series.flush()?;
         self.finished = true;
         Ok(())

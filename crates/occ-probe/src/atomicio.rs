@@ -4,10 +4,12 @@
 //! Two failure modes are covered:
 //!
 //! * **Torn writes** — a crash mid-`write(2)` leaves a partial file.
-//!   [`write_atomic`] writes to a same-directory temp file, `fsync`s
-//!   it, atomically renames it over the destination, and `fsync`s the
-//!   directory, so readers only ever observe the old file or the
-//!   complete new one.
+//!   Every artifact is written through one [`AtomicWriter`]: bytes
+//!   stream into a same-directory temp file, which is `fsync`ed,
+//!   atomically renamed over the destination, and the directory
+//!   `fsync`ed, so readers only ever observe the old file or the
+//!   complete new one. [`write_atomic`] and [`write_atomic_with_trailer`]
+//!   are one-shot wrappers over it.
 //! * **Silent corruption / external truncation** — a complete-looking
 //!   file with flipped or missing bytes. Text artifacts carry a final
 //!   `#crc32:xxxxxxxx` line over everything before it;
@@ -20,8 +22,8 @@
 //! this workspace all strip it via [`verify_trailer`] first.
 
 use std::fs::{self, File};
-use std::io::{self, Write};
-use std::path::Path;
+use std::io::{self, BufWriter, Write};
+use std::path::{Path, PathBuf};
 
 pub use occ_sim::checksum::{crc32, Crc32};
 
@@ -90,36 +92,114 @@ pub fn require_trailer(text: &str) -> Result<&str, String> {
     }
 }
 
-/// Write `bytes` to `path` atomically: same-directory temp file →
-/// `fsync` → rename over `path` → `fsync` the directory. A crash at
-/// any point leaves either the old file or the complete new one,
-/// never a prefix.
+/// Write `bytes` to `path` atomically through an [`AtomicWriter`],
+/// without a trailer.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let tmp = tmp_path(path);
-    let mut f = File::create(&tmp)?;
-    f.write_all(bytes)?;
-    f.sync_all()?;
-    drop(f);
-    if let Err(e) = fs::rename(&tmp, path) {
-        let _ = fs::remove_file(&tmp);
-        return Err(e);
-    }
-    sync_parent_dir(path);
-    Ok(())
+    let mut w = AtomicWriter::create(path)?;
+    w.write_all(bytes)?;
+    w.commit_without_trailer()
 }
 
-/// [`write_atomic`] with the CRC trailer appended: the standard write
-/// path for checkpoints and finished series files.
+/// [`write_atomic`] with the CRC trailer appended. `body` should end
+/// with a newline, so the trailer starts a line of its own.
 pub fn write_atomic_with_trailer(path: &Path, body: &str) -> io::Result<()> {
-    write_atomic(path, with_trailer(body).as_bytes())
+    debug_assert!(body.is_empty() || body.ends_with('\n'));
+    let mut w = AtomicWriter::create(path)?;
+    w.write_all(body.as_bytes())?;
+    w.commit()
 }
 
-/// The temp-file name used by [`write_atomic`]: `<path>.tmp`, in the
-/// same directory so the rename cannot cross filesystems.
-pub fn tmp_path(path: &Path) -> std::path::PathBuf {
+/// The temp-file name [`AtomicWriter`] writes through: `<path>.tmp`,
+/// in the same directory so the rename cannot cross filesystems.
+pub fn tmp_path(path: &Path) -> PathBuf {
     let mut os = path.as_os_str().to_os_string();
     os.push(".tmp");
-    std::path::PathBuf::from(os)
+    PathBuf::from(os)
+}
+
+/// The one streaming atomic writer: bytes go through a CRC-32
+/// accumulator and a buffer into [`tmp_path`]`(path)`, and
+/// [`commit`](Self::commit) appends the trailer, `fsync`s, renames
+/// over `path` and `fsync`s the directory. Nothing is held in memory
+/// beyond the buffer, however large the artifact.
+///
+/// Dropping the writer uncommitted — a write error propagated with
+/// `?`, a failed commit, a panic — removes the temp file, so a failed
+/// write leaves neither debris nor a damaged `path`: the previous file
+/// there, if any, is untouched. (A killed process runs no destructor
+/// and leaves `<path>.tmp`, which the next successful write replaces.)
+///
+/// Targets that exist and are not regular files — a device such as
+/// `/dev/full`, a FIFO feeding a live consumer — cannot be replaced by
+/// a rename (it would swap the node out), so those are written in
+/// place and their write errors still surface.
+#[derive(Debug)]
+pub struct AtomicWriter {
+    out: CrcWriter<BufWriter<File>>,
+    path: PathBuf,
+    /// The temp file while it exists; `None` when writing in place or
+    /// once renamed.
+    tmp: Option<PathBuf>,
+}
+
+impl AtomicWriter {
+    /// Start writing `path`: create its temp file, or open a
+    /// non-regular target in place.
+    pub fn create(path: &Path) -> io::Result<Self> {
+        let in_place = fs::metadata(path).is_ok_and(|m| !m.is_file());
+        let tmp = (!in_place).then(|| tmp_path(path));
+        let file = File::create(tmp.as_deref().unwrap_or(path))?;
+        Ok(AtomicWriter {
+            out: CrcWriter::new(BufWriter::new(file)),
+            path: path.to_path_buf(),
+            tmp,
+        })
+    }
+
+    /// Seal the file with its `#crc32:` trailer line and move it into
+    /// place. The content should end with a newline, so the trailer
+    /// starts a line of its own.
+    pub fn commit(mut self) -> io::Result<()> {
+        self.out.write_trailer()?;
+        self.finish()
+    }
+
+    /// Move the file into place as written, with no trailer (binary
+    /// traces, reports read by other tools).
+    pub fn commit_without_trailer(self) -> io::Result<()> {
+        self.finish()
+    }
+
+    fn finish(mut self) -> io::Result<()> {
+        self.out.flush()?;
+        if let Some(tmp) = &self.tmp {
+            // In-place targets skip this: fsync is not meaningful on
+            // devices and FIFOs, and there is nothing to rename.
+            self.out.get_ref().get_ref().sync_all()?;
+            fs::rename(tmp, &self.path)?;
+            self.tmp = None;
+            sync_parent_dir(&self.path);
+        }
+        Ok(())
+    }
+}
+
+impl Write for AtomicWriter {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.out.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.out.flush()
+    }
+}
+
+impl Drop for AtomicWriter {
+    fn drop(&mut self) {
+        if let Some(tmp) = &self.tmp {
+            let _ = fs::remove_file(tmp);
+        }
+    }
 }
 
 /// Best-effort `fsync` of `path`'s parent directory so the rename
@@ -178,6 +258,13 @@ impl<W: Write> CrcWriter<W> {
     /// not fold into the CRC it carries.
     pub fn inner_mut(&mut self) -> &mut W {
         &mut self.inner
+    }
+
+    /// Append the `#crc32:` trailer line for everything written so
+    /// far, bypassing the checksum it carries.
+    pub fn write_trailer(&mut self) -> io::Result<()> {
+        let line = trailer_line(self.crc());
+        self.inner.write_all(line.as_bytes())
     }
 }
 
@@ -287,6 +374,57 @@ mod tests {
         let text = fs::read_to_string(&path).unwrap();
         assert_eq!(require_trailer(&text).unwrap(), "{\"x\":2}\n");
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn streamed_and_one_shot_writes_match_with_trailer() {
+        let dir = tdir("streamed");
+        let path = dir.join("artifact.json");
+        for body in ["", "one line\n", "two\nlines\n"] {
+            write_atomic_with_trailer(&path, body).unwrap();
+            let text = fs::read_to_string(&path).unwrap();
+            assert_eq!(text, with_trailer(body), "{body:?}");
+            require_trailer(&text).unwrap();
+        }
+        let mut w = AtomicWriter::create(&path).unwrap();
+        for chunk in b"streamed\nin small\npieces\n".chunks(3) {
+            w.write_all(chunk).unwrap();
+        }
+        w.commit().unwrap();
+        let text = fs::read_to_string(&path).unwrap();
+        assert_eq!(text, with_trailer("streamed\nin small\npieces\n"));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn abandoned_write_removes_its_temp_and_keeps_the_old_file() {
+        let dir = tdir("abandoned");
+        let path = dir.join("ckpt.json");
+        write_atomic_with_trailer(&path, "old\n").unwrap();
+        let mut w = AtomicWriter::create(&path).unwrap();
+        w.write_all(b"half of a new ch").unwrap();
+        w.flush().unwrap();
+        assert!(tmp_path(&path).exists());
+        drop(w);
+        assert!(!tmp_path(&path).exists(), "temp file must not linger");
+        assert_eq!(
+            require_trailer(&fs::read_to_string(&path).unwrap()).unwrap(),
+            "old\n"
+        );
+        let missing = dir.join("no-such-dir").join("ckpt.json");
+        assert!(AtomicWriter::create(&missing).is_err());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn non_regular_targets_are_written_in_place() {
+        // A rename over /dev/null would need /dev to be writable and
+        // would replace the device; in place it simply succeeds.
+        write_atomic_with_trailer(Path::new("/dev/null"), "x\n").unwrap();
+        let mut w = AtomicWriter::create(Path::new("/dev/full")).unwrap();
+        w.write_all(b"x\n").unwrap();
+        assert!(w.commit().is_err(), "ENOSPC must surface");
     }
 
     #[test]

@@ -14,108 +14,221 @@
 //! The document leads with a `version` field, checked before anything
 //! else on read: an unknown version is rejected as
 //! [`SnapshotError::UnsupportedVersion`], never mis-parsed.
+//!
+//! The encoder streams: [`write_snapshot_json`] formats straight into a
+//! 64 KiB stack buffer in front of any writer, and [`write_checkpoint_file`]
+//! points it at an [`AtomicWriter`] (encoder → CRC → temp file →
+//! rename), so a checkpoint of a million-page universe is never built
+//! as a value tree or held in memory whole. The bytes are exactly the
+//! compact [`Json`] rendering the format has always had — pinned by the
+//! golden files under `tests/fixtures`.
 
-use crate::json::Json;
+use crate::atomicio::AtomicWriter;
+use crate::json::{escape_str, Json};
 use occ_sim::error::{FaultCounters, SnapshotError};
 use occ_sim::ids::{PageId, UserId};
 use occ_sim::snapshot::{EngineSnapshot, PolicyState, StateValue};
 use occ_sim::stats::UserStats;
+use std::io::{self, Write};
+use std::path::Path;
 
 /// Encode a snapshot as a compact JSON string.
 pub fn snapshot_to_json(snap: &EngineSnapshot) -> String {
-    snapshot_to_json_value(snap).to_json()
+    let mut buf = Vec::new();
+    write_snapshot_json(snap, &mut buf).expect("writing to a Vec cannot fail");
+    String::from_utf8(buf).expect("the encoder writes ASCII and the snapshot's own strings")
 }
 
-/// Encode a snapshot as a JSON value.
-pub fn snapshot_to_json_value(snap: &EngineSnapshot) -> Json {
-    let stats = snap
-        .stats
-        .iter()
-        .map(|s| {
-            Json::Obj(vec![
-                ("hits".into(), u64_str(s.hits)),
-                ("misses".into(), u64_str(s.misses)),
-                ("evictions".into(), u64_str(s.evictions)),
-            ])
-        })
-        .collect();
-    let policy = snap
-        .policy
-        .fields()
-        .iter()
-        .map(|(k, v)| {
-            let (tag, value) = match v {
-                StateValue::U64(x) => ("u64", u64_str(*x)),
-                StateValue::F64(x) => ("f64", f64_bits(*x)),
-                StateValue::U64s(xs) => {
-                    ("u64s", Json::Arr(xs.iter().map(|&x| u64_str(x)).collect()))
-                }
-                StateValue::F64s(xs) => {
-                    ("f64s", Json::Arr(xs.iter().map(|&x| f64_bits(x)).collect()))
-                }
-                StateValue::Text(s) => ("text", Json::Str(s.clone())),
-            };
-            Json::Obj(vec![
-                ("key".into(), Json::Str(k.clone())),
-                ("type".into(), Json::Str(tag.into())),
-                ("value".into(), value),
-            ])
-        })
-        .collect();
-    Json::Obj(vec![
-        ("version".into(), Json::from_u64(snap.version)),
-        ("time".into(), u64_str(snap.time)),
-        ("capacity".into(), Json::from_u64(snap.capacity as u64)),
-        ("num_users".into(), Json::from_u64(snap.num_users as u64)),
-        (
-            "owners".into(),
-            Json::Arr(
-                snap.owners
-                    .iter()
-                    .map(|u| Json::from_u64(u.0 as u64))
-                    .collect(),
-            ),
-        ),
-        (
-            "cache_pages".into(),
-            Json::Arr(
-                snap.cache_pages
-                    .iter()
-                    .map(|p| Json::from_u64(p.0 as u64))
-                    .collect(),
-            ),
-        ),
-        ("stats".into(), Json::Arr(stats)),
-        ("policy_name".into(), Json::Str(snap.policy_name.clone())),
-        ("policy".into(), Json::Arr(policy)),
-        (
-            "faults".into(),
-            Json::Obj(vec![
-                (
-                    "page_out_of_range".into(),
-                    u64_str(snap.faults.page_out_of_range),
-                ),
-                ("owner_mismatch".into(), u64_str(snap.faults.owner_mismatch)),
-                (
-                    "quarantined_drops".into(),
-                    u64_str(snap.faults.quarantined_drops),
-                ),
-                (
-                    "quarantined_users".into(),
-                    u64_str(snap.faults.quarantined_users),
-                ),
-            ]),
-        ),
-        (
-            "quarantined".into(),
-            Json::Arr(
-                snap.quarantined
-                    .iter()
-                    .map(|u| Json::from_u64(u.0 as u64))
-                    .collect(),
-            ),
-        ),
-    ])
+/// Write `snap` to `path` as a complete checkpoint file — the JSON
+/// document, a newline, and the `#crc32:` trailer — atomically.
+pub fn write_checkpoint_file(path: &Path, snap: &EngineSnapshot) -> io::Result<()> {
+    let mut w = AtomicWriter::create(path)?;
+    write_snapshot_json(snap, &mut w)?;
+    w.write_all(b"\n")?;
+    w.commit()
+}
+
+/// Stream a snapshot's compact JSON document into `w`. Counters that
+/// may exceed 2^53 are decimal strings, `f64`s are the decimal strings
+/// of their bit patterns, and ids are plain integers.
+pub fn write_snapshot_json<W: Write>(snap: &EngineSnapshot, w: &mut W) -> io::Result<()> {
+    let mut o = Chunked::new(w);
+    o.uint(b"{\"version\":", snap.version, false)?;
+    o.uint(b",\"time\":", snap.time, true)?;
+    o.uint(b",\"capacity\":", snap.capacity as u64, false)?;
+    o.uint(b",\"num_users\":", u64::from(snap.num_users), false)?;
+    let owners = snap.owners.iter().map(|u| u64::from(u.0));
+    o.list(b",\"owners\":", owners, false)?;
+    let cache_pages = snap.cache_pages.iter().map(|p| u64::from(p.0));
+    o.list(b",\"cache_pages\":", cache_pages, false)?;
+    o.raw(b",\"stats\":[")?;
+    // Array elements after the first are led by a comma: `&sep[first..]`.
+    for (i, s) in snap.stats.iter().enumerate() {
+        o.uint(&b",{\"hits\":"[usize::from(i == 0)..], s.hits, true)?;
+        o.uint(b",\"misses\":", s.misses, true)?;
+        o.uint(b",\"evictions\":", s.evictions, true)?;
+        o.raw(b"}")?;
+    }
+    o.str(b"],\"policy_name\":", &snap.policy_name)?;
+    o.raw(b",\"policy\":[")?;
+    for (i, (key, value)) in snap.policy.fields().iter().enumerate() {
+        o.str(&b",{\"key\":"[usize::from(i == 0)..], key)?;
+        match value {
+            StateValue::U64(x) => o.uint(b",\"type\":\"u64\",\"value\":", *x, true),
+            StateValue::F64(x) => o.uint(b",\"type\":\"f64\",\"value\":", x.to_bits(), true),
+            StateValue::U64s(xs) => {
+                o.list(b",\"type\":\"u64s\",\"value\":", xs.iter().copied(), true)
+            }
+            StateValue::F64s(xs) => {
+                let bits = xs.iter().map(|x| x.to_bits());
+                o.list(b",\"type\":\"f64s\",\"value\":", bits, true)
+            }
+            StateValue::Text(s) => o.str(b",\"type\":\"text\",\"value\":", s),
+        }?;
+        o.raw(b"}")?;
+    }
+    let f = &snap.faults;
+    o.uint(
+        b"],\"faults\":{\"page_out_of_range\":",
+        f.page_out_of_range,
+        true,
+    )?;
+    o.uint(b",\"owner_mismatch\":", f.owner_mismatch, true)?;
+    o.uint(b",\"quarantined_drops\":", f.quarantined_drops, true)?;
+    o.uint(b",\"quarantined_users\":", f.quarantined_users, true)?;
+    let quarantined = snap.quarantined.iter().map(|u| u64::from(u.0));
+    o.list(b"},\"quarantined\":", quarantined, false)?;
+    o.raw(b"}")?;
+    o.flush()
+}
+
+/// Bytes per write handed to the destination writer.
+const CHUNK: usize = 64 << 10;
+
+/// A fixed stack buffer in front of the destination: numbers are
+/// formatted straight into it, and the destination sees a few large
+/// writes instead of millions of tiny ones (which matters when it folds
+/// every write into a CRC).
+struct Chunked<'w, W: Write> {
+    w: &'w mut W,
+    buf: [u8; CHUNK],
+    len: usize,
+}
+
+impl<'w, W: Write> Chunked<'w, W> {
+    fn new(w: &'w mut W) -> Self {
+        Chunked {
+            w,
+            buf: [0; CHUNK],
+            len: 0,
+        }
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.w.write_all(&self.buf[..self.len])?;
+        self.len = 0;
+        Ok(())
+    }
+
+    fn raw(&mut self, bytes: &[u8]) -> io::Result<()> {
+        if bytes.len() > CHUNK - self.len {
+            self.flush()?;
+            if bytes.len() > CHUNK {
+                return self.w.write_all(bytes);
+            }
+        }
+        self.buf[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+        Ok(())
+    }
+
+    /// Make room for `n` more bytes in the buffer.
+    fn reserve(&mut self, n: usize) -> io::Result<()> {
+        if CHUNK - self.len < n {
+            self.flush()?;
+        }
+        Ok(())
+    }
+
+    /// `prefix`, then a decimal integer, quoted (the lossless `u64`
+    /// form) or plain.
+    fn uint(&mut self, prefix: &[u8], v: u64, quoted: bool) -> io::Result<()> {
+        self.raw(prefix)?;
+        self.reserve(22)?;
+        self.len = put_uint(&mut self.buf, self.len, v, quoted);
+        Ok(())
+    }
+
+    /// `prefix`, then a JSON array of integers, each quoted or plain.
+    fn list(
+        &mut self,
+        prefix: &[u8],
+        items: impl Iterator<Item = u64>,
+        quoted: bool,
+    ) -> io::Result<()> {
+        self.raw(prefix)?;
+        let mut sep = b'[';
+        for v in items {
+            self.reserve(23)?;
+            self.buf[self.len] = sep;
+            self.len = put_uint(&mut self.buf, self.len + 1, v, quoted);
+            sep = b',';
+        }
+        if sep == b'[' {
+            self.raw(b"[")?;
+        }
+        self.raw(b"]")
+    }
+
+    /// `prefix`, then a JSON string literal.
+    fn str(&mut self, prefix: &[u8], s: &str) -> io::Result<()> {
+        self.raw(prefix)?;
+        escape_str(s, |piece| self.raw(piece.as_bytes()))
+    }
+}
+
+/// Write `v`'s decimal digits (in quotes if `quoted`) into `buf` at
+/// `at`, two digits at a time and without going through `f64` or `fmt`;
+/// returns the position after them. `buf` must have room for 22 bytes
+/// (u64::MAX has 20 digits).
+#[inline(always)]
+fn put_uint(buf: &mut [u8], mut at: usize, mut v: u64, quoted: bool) -> usize {
+    const PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+          2021222324252627282930313233343536373839\
+          4041424344454647484950515253545556575859\
+          6061626364656667686970717273747576777879\
+          8081828384858687888990919293949596979899";
+    if quoted {
+        buf[at] = b'"';
+        at += 1;
+    }
+    if v < 10 {
+        // Owner ids and small counters: most of a large document.
+        buf[at] = b'0' + v as u8;
+        at += 1;
+    } else {
+        let n = v.ilog10() as usize + 1;
+        let out = &mut buf[at..at + n];
+        let mut end = n;
+        while v >= 100 {
+            let pair = (v % 100) as usize * 2;
+            v /= 100;
+            end -= 2;
+            out[end..end + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+        }
+        if v >= 10 {
+            let pair = v as usize * 2;
+            out[..2].copy_from_slice(&PAIRS[pair..pair + 2]);
+        } else {
+            out[0] = b'0' + v as u8;
+        }
+        at += n;
+    }
+    if quoted {
+        buf[at] = b'"';
+        at += 1;
+    }
+    at
 }
 
 /// Parse and decode a snapshot from JSON text.
@@ -230,14 +343,6 @@ pub fn snapshot_from_json_value(v: &Json) -> Result<EngineSnapshot, SnapshotErro
         faults,
         quarantined,
     })
-}
-
-fn u64_str(v: u64) -> Json {
-    Json::Str(v.to_string())
-}
-
-fn f64_bits(v: f64) -> Json {
-    Json::Str(v.to_bits().to_string())
 }
 
 fn nested(at: &str, e: SnapshotError) -> SnapshotError {

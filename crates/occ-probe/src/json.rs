@@ -179,21 +179,44 @@ fn write_f64(v: f64, out: &mut String) {
 }
 
 fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let _ = escape_str(s, |piece| {
+        out.push_str(piece);
+        Ok::<(), std::convert::Infallible>(())
+    });
+}
+
+/// Write `s` as a JSON string literal, quotes included, handing the
+/// output to `emit` piece by piece: runs of characters that need no
+/// escape go through as one slice. The one escaper behind both the
+/// [`Json`] writer and the streaming checkpoint encoder.
+pub(crate) fn escape_str<E>(s: &str, mut emit: impl FnMut(&str) -> Result<(), E>) -> Result<(), E> {
+    emit("\"")?;
+    let mut plain = 0;
+    // Every byte that needs escaping is ASCII, and ASCII bytes never
+    // occur inside a multi-byte UTF-8 sequence, so slicing at them
+    // stays on char boundaries.
+    for (i, b) in s.bytes().enumerate() {
+        let mut hex = [b'\\', b'u', b'0', b'0', 0, 0];
+        let escaped = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => {
+                const DIGITS: &[u8; 16] = b"0123456789abcdef";
+                hex[4] = DIGITS[usize::from(b >> 4)];
+                hex[5] = DIGITS[usize::from(b & 0xf)];
+                std::str::from_utf8(&hex).expect("ASCII")
             }
-            c => out.push(c),
-        }
+            _ => continue,
+        };
+        emit(&s[plain..i])?;
+        emit(escaped)?;
+        plain = i + 1;
     }
-    out.push('"');
+    emit(&s[plain..])?;
+    emit("\"")
 }
 
 struct Parser<'a> {

@@ -17,11 +17,12 @@
 //!   [`SeriesSink`]) behind `occ soak`'s streaming JSONL series;
 //! * [`ObserveReport`] — the JSON/table report `occ observe` emits and
 //!   `occ report` renders;
-//! * [`atomicio`] — torn-write-safe persistence: atomic-rename writes
-//!   and CRC-32 trailers on checkpoints, series files, and reports;
+//! * [`atomicio`] — torn-write-safe persistence: one streaming
+//!   atomic-rename writer and CRC-32 trailers on checkpoints, series
+//!   files, and reports;
 //! * [`checkpoint`] — the lossless on-disk JSON form of
 //!   `occ_sim::EngineSnapshot` behind `occ observe --checkpoint` and
-//!   `occ resume`;
+//!   `occ resume`, streamed straight to disk;
 //! * [`Json`] — the minimal parser/writer backing all of the above
 //!   (the workspace's vendored `serde` is a no-op stub, so
 //!   serialization is done by hand).
@@ -45,9 +46,11 @@ pub mod timeseries;
 
 pub use atomicio::{
     crc32, require_trailer, verify_trailer, with_trailer, write_atomic, write_atomic_with_trailer,
-    CrcWriter, CRC_TRAILER_PREFIX,
+    AtomicWriter, CrcWriter, CRC_TRAILER_PREFIX,
 };
-pub use checkpoint::{snapshot_from_json, snapshot_to_json};
+pub use checkpoint::{
+    snapshot_from_json, snapshot_to_json, write_checkpoint_file, write_snapshot_json,
+};
 pub use dual::{DualSample, DualTrace};
 pub use histogram::LogHistogram;
 pub use json::{check_schema_stamp, Json};
