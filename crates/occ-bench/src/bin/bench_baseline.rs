@@ -624,17 +624,7 @@ fn assert_ingest_identity(fx: &IngestFixture, k: usize) {
     for strategy in INGEST_PATHS {
         let mut src = open_ingest_source(fx, strategy);
         let mut engine = SteppingEngine::new(k, src.universe().clone(), Lru::new());
-        loop {
-            if let Some(run) = src.next_page_run(DEFAULT_BATCH_SIZE) {
-                engine.step_page_batch(run);
-                continue;
-            }
-            if let Some(run) = src.next_run(DEFAULT_BATCH_SIZE) {
-                engine.step_batch(run);
-                continue;
-            }
-            break;
-        }
+        while engine.serve_from(&mut src, DEFAULT_BATCH_SIZE) > 0 {}
         src.finish().expect("ingest identity replay ended early");
         assert_eq!(
             engine.stats(),

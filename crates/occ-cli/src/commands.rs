@@ -2192,32 +2192,13 @@ where
     loop {
         // Serve in batches clamped to the next window boundary, so the
         // boundary work below still happens at exact multiples of the
-        // window width. Trace feeds hand out runs (zero-copy page-id
-        // slices from the mmap path); the mixer and CSV adapters fall
-        // through to the scalar pull.
+        // window width.
         let to_boundary = opts.window - (eng.time() % opts.window);
         let max = to_boundary.min(occ_sim::DEFAULT_BATCH_SIZE as u64) as usize;
-        let stepped = if let Some(run) = source.next_page_run(max).filter(|r| !r.is_empty()) {
-            let n = run.len() as u64;
-            eng.step_page_batch(run);
-            n
-        } else if let Some(run) = source.next_run(max).filter(|r| !r.is_empty()) {
-            let n = run.len() as u64;
-            eng.step_batch(run);
-            n
-        } else {
-            let next = {
-                let ctx = eng.ctx();
-                source.next_request(&ctx)
-            };
-            match next {
-                Some(r) => {
-                    eng.step(r);
-                    1
-                }
-                None => break,
-            }
-        };
+        let stepped = eng.serve_from(source, max) as u64;
+        if stepped == 0 {
+            break;
+        }
         served += stepped;
         let t = eng.time();
         if !t.is_multiple_of(opts.window) {

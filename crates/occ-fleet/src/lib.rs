@@ -12,10 +12,9 @@
 //! ([`std::thread::scope`], no detached lifetimes) — at most one worker
 //! per available hardware thread, each replaying its queue of shards
 //! sequentially, and no thread at all when a single worker suffices —
-//! feeds each shard from a streaming [`RequestSource`] through the
-//! batched engine path ([`SteppingEngine::step_batch`], trace-backed
-//! sources handing over whole slices via [`RequestSource::next_run`]),
-//! and folds the per-shard [`MetricsRecorder`]s into one merged
+//! feeds each shard from a streaming [`RequestSource`] through
+//! [`SteppingEngine::serve_from`] (trace-backed sources hand whole
+//! slices to the batched kernel), and folds the per-shard [`MetricsRecorder`]s into one merged
 //! recorder with the same shard-merge machinery the observability layer
 //! already ships — so the merged report is indistinguishable from a
 //! single recorder that watched every shard.
@@ -59,7 +58,7 @@ pub struct FleetConfig {
     /// Cache capacity `k` of every shard (each shard gets its own full
     /// `k` — see the module docs).
     pub capacity: usize,
-    /// Requests per [`SteppingEngine::step_batch`] call.
+    /// Most requests per [`SteppingEngine::serve_from`] call.
     pub batch_size: usize,
     /// Apply the paper's end-of-run flush convention per shard.
     pub flush_at_end: bool,
@@ -262,59 +261,21 @@ impl FleetReport {
     }
 }
 
-/// Run one engine to exhaustion of its source, batch by batch.
-///
-/// Sources that serve bare page-id runs
-/// ([`RequestSource::next_page_run`] — the mmap-backed binary reader)
-/// feed [`SteppingEngine::step_page_batch`] slices of the file mapping
-/// itself; sources that support materialized bulk runs
-/// ([`RequestSource::next_run`] — fixed traces) feed
-/// [`SteppingEngine::step_batch`] slices of their own backing storage;
-/// everything else goes through the per-request pull loop into a reused
-/// batch buffer. The three styles can interleave freely without
-/// changing the served sequence.
+/// Run one engine to exhaustion of its source through
+/// [`SteppingEngine::serve_from`], `cfg.batch_size` requests at a time.
 fn drive<S, P, R>(engine: &mut SteppingEngine<P, R>, source: &mut S, cfg: &FleetConfig) -> u64
 where
     S: RequestSource,
     P: ReplacementPolicy,
     R: Recorder,
 {
-    // The batch buffer is only for the pull loop below; bulk sources
-    // (fixed traces — the throughput path) never enter it, so defer the
-    // allocation until a shard actually needs it.
-    let mut buf = Vec::new();
     let mut served = 0u64;
     loop {
-        if let Some(run) = source
-            .next_page_run(cfg.batch_size)
-            .filter(|r| !r.is_empty())
-        {
-            served += run.len() as u64;
-            engine.step_page_batch(run);
-            continue;
-        }
-        if let Some(run) = source.next_run(cfg.batch_size).filter(|r| !r.is_empty()) {
-            served += run.len() as u64;
-            engine.step_batch(run);
-            continue;
-        }
-        buf.clear();
-        buf.reserve(cfg.batch_size);
-        while buf.len() < cfg.batch_size {
-            let next = {
-                let ctx = engine.ctx();
-                source.next_request(&ctx)
-            };
-            match next {
-                Some(r) => buf.push(r),
-                None => break,
-            }
-        }
-        if buf.is_empty() {
+        let n = engine.serve_from(source, cfg.batch_size);
+        if n == 0 {
             break;
         }
-        served += buf.len() as u64;
-        engine.step_batch(&buf);
+        served += n as u64;
     }
     if cfg.flush_at_end {
         engine.flush();

@@ -509,7 +509,8 @@ struct ShardDriver<'a> {
     committed: Vec<WindowDelta>,
     /// First window index not yet committed.
     next_commit: u64,
-    /// Pending kill times for this shard, ascending; consumed as fired.
+    /// Pending kill times for this shard, ascending, none before the
+    /// resume point; consumed as fired.
     pending_kills: std::collections::VecDeque<u64>,
     persist: &'a mut dyn ShardPersist,
 }
@@ -536,19 +537,25 @@ impl ShardDriver<'_> {
         );
         loop {
             let t = eng.time();
-            if self.pending_kills.front() == Some(&t) {
-                self.pending_kills.pop_front();
-                panic::panic_any(InjectedKill {
-                    shard: self.shard,
-                    at: t,
-                });
+            // Serve up to the next window boundary or pending kill,
+            // whichever comes first, so both land at exact ticks. Kills
+            // are never behind the clock: stale ones are dropped when the
+            // driver is built, and later ones are popped as they fire.
+            let mut max = self.width - t % self.width;
+            if let Some(&kill) = self.pending_kills.front() {
+                if kill == t {
+                    self.pending_kills.pop_front();
+                    panic::panic_any(InjectedKill {
+                        shard: self.shard,
+                        at: t,
+                    });
+                }
+                max = max.min(kill - t);
             }
-            let next = {
-                let ctx = eng.ctx();
-                source.next_request(&ctx)
-            };
-            let Some(r) = next else { break };
-            eng.step(r);
+            let max = usize::try_from(max).unwrap_or(usize::MAX);
+            if eng.serve_from(&mut source, max) == 0 {
+                break;
+            }
             let t = eng.time();
             if t % self.width == 0 {
                 eng.recorder_mut().roll_to(t);
@@ -625,10 +632,12 @@ where
     let start = Instant::now();
     let initial = cfg.resume.get(shard).cloned().flatten();
     let resume_t = initial.as_ref().map_or(0, |s| s.time);
+    // A kill scheduled before the resume point can never fire; keeping
+    // it would block every later kill on this shard.
     let mut kills: Vec<u64> = cfg
         .kills
         .iter()
-        .filter(|k| k.shard == shard)
+        .filter(|k| k.shard == shard && k.at >= resume_t)
         .map(|k| k.at)
         .collect();
     kills.sort_unstable();
@@ -1098,13 +1107,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn resume_continues_from_mid_stream_snapshots() {
-        // Run the first half supervised, snapshot by hand, then resume
-        // a second supervised fleet from those snapshots: the stitched
-        // stats must equal the one-shot run.
-        let plain = plain_fleet();
-        let snaps: Vec<Option<occ_sim::EngineSnapshot>> = (0..SHARDS)
+    /// Every shard's engine snapshot after its first 500 requests.
+    fn half_way_snapshots() -> Vec<Option<occ_sim::EngineSnapshot>> {
+        (0..SHARDS)
             .map(|shard| {
                 let mut src = source_for(shard);
                 let mut eng = occ_sim::SteppingEngine::new(
@@ -1122,9 +1127,17 @@ mod tests {
                 }
                 Some(eng.snapshot().unwrap())
             })
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn resume_continues_from_mid_stream_snapshots() {
+        // Run the first half supervised, snapshot by hand, then resume
+        // a second supervised fleet from those snapshots: the stitched
+        // stats must equal the one-shot run.
+        let plain = plain_fleet();
         let mut cfg = base_cfg();
-        cfg.resume = snaps;
+        cfg.resume = half_way_snapshots();
         cfg.kills = vec![ShardKill { shard: 1, at: 750 }];
         let report = supervised(&cfg);
         for (shard, s) in report.shards.iter().enumerate() {
@@ -1142,6 +1155,31 @@ mod tests {
                 plain.shards[shard].series.as_ref().unwrap().windows[2],
                 "resumed window 2 is byte-identical"
             );
+        }
+    }
+
+    #[test]
+    fn kills_before_the_resume_point_do_not_block_later_kills() {
+        // Shard 1 resumes at t=500. Its kill at t=100 lies in the part
+        // of the stream the resumed run never serves; the kill at t=750
+        // must still fire, exactly once, and recovery must land on the
+        // uninterrupted run's stats.
+        let plain = plain_fleet();
+        let mut cfg = base_cfg();
+        cfg.resume = half_way_snapshots();
+        cfg.kills = vec![
+            ShardKill { shard: 1, at: 100 },
+            ShardKill { shard: 1, at: 750 },
+        ];
+        let report = supervised(&cfg);
+        let sup = report.supervisor.as_ref().unwrap();
+        assert!(!sup.is_degraded());
+        assert_eq!(sup.shards[1].state, ShardState::Recovered);
+        assert_eq!(sup.shards[1].restarts, 1);
+        assert_eq!(sup.total_restarts(), 1);
+        for (shard, s) in report.shards.iter().enumerate() {
+            assert_eq!(s.served, 500, "shard {shard}: second half only");
+            assert_eq!(s.stats, plain.shards[shard].stats, "shard {shard}");
         }
     }
 }

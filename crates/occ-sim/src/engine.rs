@@ -5,18 +5,21 @@
 //! counters); policies only pick victims. This guarantees that two policies
 //! run on the same trace see byte-identical hit/miss classification, which
 //! is what makes cross-policy cost comparisons meaningful.
+//!
+//! [`Simulator`] is a façade: every entry point builds one
+//! [`SteppingEngine`] and drives it, so the hit/insert/evict state
+//! machine is coded once, in [`crate::stepper`].
 
 use crate::cache::CacheSet;
 use crate::error::{FaultCounters, FaultHandler, FaultPolicy, SimError};
-use crate::event::{EventLog, SimEvent};
+use crate::event::EventLog;
 use crate::ids::{PageId, Time, UserId};
 use crate::policy::ReplacementPolicy;
 use crate::probe::{NoopRecorder, Recorder};
 use crate::source::{RequestSource, TraceSource};
 use crate::stats::SimStats;
 use crate::stepper::SteppingEngine;
-use crate::trace::{Request, Trace, Universe};
-use std::time::Instant;
+use crate::trace::{Trace, Universe};
 
 /// Read-only view of the engine state handed to policies and sources.
 pub struct EngineCtx<'a> {
@@ -35,7 +38,7 @@ pub struct EngineCtx<'a> {
 /// Engine configuration.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SimOptions {
-    /// Record a [`SimEvent`] per request (off by default: costs memory
+    /// Record a [`SimEvent`](crate::event::SimEvent) per request (off by default: costs memory
     /// proportional to the trace).
     pub record_events: bool,
     /// Retention limit for the event log: `Some(n)` keeps only the `n`
@@ -152,8 +155,7 @@ impl Simulator {
 
     /// Run `policy` over a fixed `trace`.
     pub fn run<P: ReplacementPolicy>(&self, policy: &mut P, trace: &Trace) -> SimResult {
-        let mut source = TraceSource::new(trace);
-        self.run_source(policy, &mut source)
+        self.run_source(policy, &mut TraceSource::new(trace))
     }
 
     /// Run `policy` over a fixed `trace` with a [`Recorder`] observing
@@ -163,8 +165,7 @@ impl Simulator {
         P: ReplacementPolicy,
         R: Recorder,
     {
-        let mut source = TraceSource::new(trace);
-        self.run_source_recorded(policy, &mut source, recorder)
+        self.run_source_recorded(policy, &mut TraceSource::new(trace), recorder)
     }
 
     /// Run `policy` against a (possibly adaptive) request source.
@@ -180,6 +181,10 @@ impl Simulator {
 
     /// Run `policy` against a request source with a [`Recorder`]
     /// observing every decision (see [`crate::probe`]).
+    ///
+    /// This is the scalar path: each request is pulled against the live
+    /// engine state and served by [`SteppingEngine::step`], so an
+    /// adaptive source sees the outcome of every previous request.
     pub fn run_source_recorded<P, S, R>(
         &self,
         policy: &mut P,
@@ -191,139 +196,11 @@ impl Simulator {
         S: RequestSource,
         R: Recorder,
     {
-        let universe = source.universe().clone();
-        let mut cache = CacheSet::new(self.capacity, universe.num_pages());
-        let mut stats = SimStats::new(universe.num_users());
-        let mut events = self
-            .options
-            .record_events
-            .then(|| match self.options.event_capacity {
-                Some(capacity) => EventLog::bounded(capacity),
-                None => EventLog::new(),
-            });
-        let mut t: Time = 0;
-
-        loop {
-            let req = {
-                let ctx = EngineCtx {
-                    time: t,
-                    cache: &cache,
-                    stats: &stats,
-                    universe: &universe,
-                };
-                match source.next_request(&ctx) {
-                    Some(r) => r,
-                    None => break,
-                }
-            };
-            debug_assert_eq!(
-                universe.owner(req.page),
-                req.user,
-                "request owner disagrees with the universe"
-            );
-
-            let started = if R::TIMED { Some(Instant::now()) } else { None };
-            if cache.contains(req.page) {
-                stats.record_hit(req.user);
-                let ctx = EngineCtx {
-                    time: t,
-                    cache: &cache,
-                    stats: &stats,
-                    universe: &universe,
-                };
-                policy.on_hit(&ctx, req.page);
-                if R::ACTIVE {
-                    recorder.record_hit(&ctx, t, req.page, req.user);
-                }
-                if let Some(log) = events.as_mut() {
-                    log.push(SimEvent::Hit { t, page: req.page });
-                }
-            } else if !cache.is_full() {
-                cache.insert(req.page);
-                stats.record_miss(req.user);
-                let ctx = EngineCtx {
-                    time: t,
-                    cache: &cache,
-                    stats: &stats,
-                    universe: &universe,
-                };
-                policy.on_insert(&ctx, req.page);
-                if R::ACTIVE {
-                    recorder.record_insert(&ctx, t, req.page, req.user);
-                }
-                if let Some(log) = events.as_mut() {
-                    log.push(SimEvent::Insert { t, page: req.page });
-                }
-            } else {
-                // Full cache: the policy picks a victim against the
-                // pre-eviction state (stats exclude this request).
-                let victim = {
-                    let ctx = EngineCtx {
-                        time: t,
-                        cache: &cache,
-                        stats: &stats,
-                        universe: &universe,
-                    };
-                    policy.choose_victim(&ctx, req.page)
-                };
-                assert!(
-                    cache.contains(victim),
-                    "policy {} chose victim {victim} which is not cached",
-                    policy.name()
-                );
-                assert_ne!(
-                    victim,
-                    req.page,
-                    "policy {} tried to evict the incoming page",
-                    policy.name()
-                );
-                let victim_user = universe.owner(victim);
-                cache.remove(victim);
-                stats.record_eviction(victim_user);
-                cache.insert(req.page);
-                stats.record_miss(req.user);
-                let ctx = EngineCtx {
-                    time: t,
-                    cache: &cache,
-                    stats: &stats,
-                    universe: &universe,
-                };
-                policy.on_evicted(&ctx, victim);
-                policy.on_insert(&ctx, req.page);
-                if R::ACTIVE {
-                    recorder.record_eviction(&ctx, t, req.page, req.user, victim, victim_user);
-                }
-                if let Some(log) = events.as_mut() {
-                    log.push(SimEvent::Evict {
-                        t,
-                        page: req.page,
-                        victim,
-                        victim_user,
-                    });
-                }
-            }
-            if let Some(start) = started {
-                recorder.record_latency_ns(t, start.elapsed().as_nanos() as u64);
-            }
-            t += 1;
+        let mut engine = self.engine(source.universe().clone(), policy, recorder);
+        while let Some(req) = source.next_request(&engine.ctx()) {
+            engine.step(req);
         }
-
-        let final_cache = cache.sorted_pages();
-        if self.options.flush_at_end {
-            for page in cache.drain_all() {
-                stats.record_eviction(universe.owner(page));
-                if R::ACTIVE {
-                    recorder.record_flush_eviction(page, universe.owner(page));
-                }
-            }
-        }
-
-        SimResult {
-            stats,
-            events,
-            final_cache,
-            steps: t,
-        }
+        self.finish(engine)
     }
 
     /// Run `policy` over a fixed `trace` through the batched hot loop
@@ -336,27 +213,18 @@ impl Simulator {
         trace: &Trace,
         batch_size: usize,
     ) -> SimResult {
-        let mut engine = SteppingEngine::new(self.capacity, trace.universe().clone(), &mut *policy);
-        if self.options.record_events {
-            engine = match self.options.event_capacity {
-                Some(capacity) => engine.with_bounded_events(capacity),
-                None => engine.with_events(),
-            };
-        }
-        engine.run_batched(trace.requests(), batch_size);
-        Self::finish_batched(self.options, engine)
+        self.run_source_batched(policy, &mut TraceSource::new(trace), batch_size)
     }
 
-    /// Run `policy` against a request source through the batched hot
-    /// loop, buffering at most `batch_size` requests at a time — the
-    /// streaming counterpart of [`Self::run_batched`], with memory
-    /// independent of the stream length.
+    /// Run `policy` against a request source through
+    /// [`SteppingEngine::serve_from`], at most `batch_size` requests per
+    /// call — the streaming counterpart of [`Self::run_batched`], with
+    /// memory independent of the stream length.
     ///
-    /// Every request in a chunk is drawn before the chunk is served, so
-    /// an *adaptive* source observes the engine state as of the previous
-    /// chunk boundary, not the previous request. Non-adaptive sources
-    /// (fixed traces, seeded generators) produce byte-identical results
-    /// to [`Self::run_source`].
+    /// Sources that hand out runs feed the batched kernel; every other
+    /// source is pulled one request at a time against the live engine
+    /// state, so an adaptive source sees the previous request's outcome
+    /// and the result is byte-identical to [`Self::run_source`].
     pub fn run_source_batched<P, S>(
         &self,
         policy: &mut P,
@@ -368,46 +236,35 @@ impl Simulator {
         S: RequestSource,
     {
         assert!(batch_size > 0, "batch size must be positive");
-        let universe = source.universe().clone();
-        let mut engine = SteppingEngine::new(self.capacity, universe, &mut *policy);
-        if self.options.record_events {
-            engine = match self.options.event_capacity {
-                Some(capacity) => engine.with_bounded_events(capacity),
-                None => engine.with_events(),
-            };
-        }
-        let mut buf: Vec<Request> = Vec::with_capacity(batch_size);
-        let mut done = false;
-        while !done {
-            buf.clear();
-            while buf.len() < batch_size {
-                let req = {
-                    let ctx = engine.ctx();
-                    source.next_request(&ctx)
-                };
-                match req {
-                    Some(r) => buf.push(r),
-                    None => {
-                        done = true;
-                        break;
-                    }
-                }
-            }
-            if !buf.is_empty() {
-                engine.step_batch(&buf);
-            }
-        }
-        Self::finish_batched(self.options, engine)
+        let mut engine = self.engine(source.universe().clone(), policy, NoopRecorder);
+        while engine.serve_from(source, batch_size) > 0 {}
+        self.finish(engine)
     }
 
-    /// Shared tail of the batched entry points: capture the final cache,
-    /// apply the optional end-of-run flush, and package the result.
-    fn finish_batched<P: ReplacementPolicy>(
-        options: SimOptions,
-        mut engine: SteppingEngine<P>,
-    ) -> SimResult {
+    /// The engine every entry point drives: this simulator's capacity
+    /// and event-log options over `universe`.
+    fn engine<P, R>(&self, universe: Universe, policy: P, recorder: R) -> SteppingEngine<P, R>
+    where
+        P: ReplacementPolicy,
+        R: Recorder,
+    {
+        let engine = SteppingEngine::new(self.capacity, universe, policy).with_recorder(recorder);
+        match (self.options.record_events, self.options.event_capacity) {
+            (false, _) => engine,
+            (true, Some(capacity)) => engine.with_bounded_events(capacity),
+            (true, None) => engine.with_events(),
+        }
+    }
+
+    /// Shared tail of every entry point: capture the final cache, apply
+    /// the optional end-of-run flush, and package the result.
+    fn finish<P, R>(&self, mut engine: SteppingEngine<P, R>) -> SimResult
+    where
+        P: ReplacementPolicy,
+        R: Recorder,
+    {
         let final_cache = engine.cache().sorted_pages();
-        if options.flush_at_end {
+        if self.options.flush_at_end {
             engine.flush();
         }
         SimResult {
@@ -426,8 +283,7 @@ impl Simulator {
         trace: &Trace,
         fault_policy: FaultPolicy,
     ) -> Result<CheckedRun, SimError> {
-        let mut source = TraceSource::new(trace);
-        self.try_run_source_recorded(policy, &mut source, &mut NoopRecorder, fault_policy)
+        self.try_run_recorded(policy, trace, &mut NoopRecorder, fault_policy)
     }
 
     /// [`Self::try_run`] with a [`Recorder`] observing every decision
@@ -444,19 +300,19 @@ impl Simulator {
         P: ReplacementPolicy,
         R: Recorder,
     {
-        let mut source = TraceSource::new(trace);
-        self.try_run_source_recorded(policy, &mut source, recorder, fault_policy)
+        self.try_run_source_recorded(policy, &mut TraceSource::new(trace), recorder, fault_policy)
     }
 
     /// The fault-tolerant counterpart of [`Self::run_source_recorded`]:
-    /// validates every record before serving it and reacts to faults per
-    /// `fault_policy` instead of panicking.
+    /// validates every record with [`SteppingEngine::step_checked`]
+    /// before serving it and reacts to faults per `fault_policy` instead
+    /// of panicking.
     ///
-    /// This path lives beside (not inside) the trusting hot loop: the
-    /// unchecked `run*` family stays monomorphized to the unvalidated
-    /// code, so enabling fault tolerance costs nothing when it is not
-    /// used (guarded by `bench_baseline`). On well-formed input a checked
-    /// run produces the identical [`SimResult`] to an unchecked one.
+    /// The unchecked `run*` family stays monomorphized to the
+    /// unvalidated [`SteppingEngine::step`], so enabling fault tolerance
+    /// costs nothing when it is not used (guarded by `bench_baseline`).
+    /// On well-formed input a checked run produces the identical
+    /// [`SimResult`] to an unchecked one.
     pub fn try_run_source_recorded<P, S, R>(
         &self,
         policy: &mut P,
@@ -470,38 +326,13 @@ impl Simulator {
         R: Recorder,
     {
         let universe = source.universe().clone();
-        let num_users = universe.num_users();
-        let mut engine = SteppingEngine::new(self.capacity, universe, &mut *policy)
-            .with_recorder(&mut *recorder);
-        if self.options.record_events {
-            engine = match self.options.event_capacity {
-                Some(capacity) => engine.with_bounded_events(capacity),
-                None => engine.with_events(),
-            };
-        }
-        let mut handler = FaultHandler::new(fault_policy, num_users);
-        loop {
-            let req = {
-                let ctx = engine.ctx();
-                source.next_request(&ctx)
-            };
-            let Some(req) = req else { break };
+        let mut handler = FaultHandler::new(fault_policy, universe.num_users());
+        let mut engine = self.engine(universe, policy, recorder);
+        while let Some(req) = source.next_request(&engine.ctx()) {
             engine.step_checked(req, &mut handler)?;
         }
-        let final_cache = engine.cache().sorted_pages();
-        if self.options.flush_at_end {
-            engine.flush();
-        }
-        let steps = engine.time();
-        let stats = engine.stats().clone();
-        let events = engine.take_events();
         Ok(CheckedRun {
-            result: SimResult {
-                stats,
-                events,
-                final_cache,
-                steps,
-            },
+            result: self.finish(engine),
             faults: handler.counters().clone(),
             quarantined: handler.quarantined_users(),
         })
@@ -511,8 +342,7 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::UserId;
-    use crate::trace::Universe;
+    use crate::event::SimEvent;
 
     /// Evicts the page cached in physical slot 0 — arbitrary but valid.
     struct EvictFirst;

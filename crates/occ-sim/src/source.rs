@@ -23,9 +23,9 @@ pub trait RequestSource {
 
     /// Bulk twin of [`next_request`](Self::next_request): hand out a
     /// borrowed run of up to `max` upcoming requests and advance past
-    /// them, or `None` when no run is available. Replay loops (the
-    /// fleet runner's shard driver) try this first and fall back to
-    /// per-request pulls, so a fixed trace feeds
+    /// them, or `None` when no run is available.
+    /// [`SteppingEngine::serve_from`](crate::SteppingEngine::serve_from)
+    /// tries this before per-request pulls, so a fixed trace feeds
     /// [`step_batch`](crate::SteppingEngine::step_batch) slices of its
     /// own backing storage — no copy, no per-request engine-state
     /// round-trip. The default returns `None`, which is the only
@@ -43,9 +43,10 @@ pub trait RequestSource {
     /// consumer derives each owner from the universe — the same lookup
     /// the source would have performed to build a `Request`, so nothing
     /// is lost, and the ids can be served straight from a file mapping
-    /// without decoding. Replay loops try this first, then
-    /// [`next_run`](Self::next_run), then scalar pulls. The default
-    /// returns `None`.
+    /// without decoding.
+    /// [`SteppingEngine::serve_from`](crate::SteppingEngine::serve_from)
+    /// tries this first, then [`next_run`](Self::next_run), then scalar
+    /// pulls. The default returns `None`.
     fn next_page_run(&mut self, max: usize) -> Option<&[PageId]> {
         let _ = max;
         None

@@ -1,14 +1,17 @@
-//! A step-at-a-time engine for interactive simulations.
+//! The engine: the paper's hit/miss/evict state machine, served one
+//! request or one batch at a time.
 //!
-//! [`Simulator`](crate::Simulator) replays a whole request stream;
-//! [`SteppingEngine`] exposes the same hit/miss/evict state machine one
-//! request at a time, for callers that interleave simulation with other
-//! decisions — the multi-pool system of `occ-pools` (the paper's §5
-//! future-work direction) routes each request to one of several engines
-//! and migrates users between them mid-stream.
+//! [`SteppingEngine`] is the one implementation of the state machine.
+//! [`Simulator`](crate::Simulator) is a façade that builds an engine and
+//! replays a whole stream through it; [`SteppingEngine::serve_from`] is
+//! the one loop that pulls requests from a [`RequestSource`] into it,
+//! used by every driver (soak, fleet, supervisor, bench). Callers that interleave simulation with other
+//! decisions step the engine directly — the multi-pool system of
+//! `occ-pools` (the paper's §5 future-work direction) routes each request
+//! to one of several engines and migrates users between them mid-stream.
 //!
 //! The stepping engine also supports *external removal* of pages (a user
-//! migrating away takes its pages with it), which the batch replay never
+//! migrating away takes its pages with it), which a plain replay never
 //! needs.
 
 use crate::cache::CacheSet;
@@ -22,6 +25,7 @@ use crate::ids::{PageId, Time, UserId};
 use crate::policy::ReplacementPolicy;
 use crate::probe::{NoopRecorder, Recorder};
 use crate::snapshot::{EngineSnapshot, SNAPSHOT_VERSION};
+use crate::source::RequestSource;
 use crate::stats::SimStats;
 use crate::trace::{Request, Universe};
 use std::time::Instant;
@@ -135,8 +139,8 @@ impl<P: ReplacementPolicy, R: Recorder> SteppingEngine<P, R> {
     }
 
     /// Read-only view of the engine state, as handed to policies and
-    /// request sources. Lets a [`RequestSource`](crate::source::RequestSource)
-    /// be driven against this engine externally.
+    /// request sources. Lets a [`RequestSource`] be driven against this
+    /// engine externally.
     pub fn ctx(&self) -> EngineCtx<'_> {
         EngineCtx {
             time: self.time,
@@ -254,9 +258,8 @@ impl<P: ReplacementPolicy, R: Recorder> SteppingEngine<P, R> {
     }
 
     /// [`step_batch`](Self::step_batch) for a run of bare page ids, the
-    /// shape a zero-copy source
-    /// ([`RequestSource::next_page_run`](crate::source::RequestSource::next_page_run))
-    /// hands out: each request's owner is derived from the universe
+    /// shape a zero-copy source ([`RequestSource::next_page_run`]) hands
+    /// out: each request's owner is derived from the universe
     /// inline — the identical lookup a decoding source performs when it
     /// materializes [`Request`]s, moved to the one place that actually
     /// consumes the owner. Byte-identical outcome to building the
@@ -285,6 +288,43 @@ impl<P: ReplacementPolicy, R: Recorder> SteppingEngine<P, R> {
         for chunk in requests.chunks(batch_size) {
             self.step_batch(chunk);
         }
+    }
+
+    /// Serve at most `max` requests from `source`; returns how many were
+    /// served, `0` once the source is exhausted. This is the one loop
+    /// that drives an engine from a [`RequestSource`]. It tries, in order:
+    ///
+    /// 1. a zero-copy page-id run ([`RequestSource::next_page_run`]) into
+    ///    [`step_page_batch`](Self::step_page_batch);
+    /// 2. a borrowed request run ([`RequestSource::next_run`]) into
+    ///    [`step_batch`](Self::step_batch);
+    /// 3. per-request pulls, each against the live [`ctx`](Self::ctx)
+    ///    and served by [`step`](Self::step) before the next pull, so an
+    ///    adaptive source sees the outcome of every previous request.
+    ///
+    /// Pulls are deliberately not buffered into a batch: collecting them
+    /// first measured slower on the synthetic mixer source, and would let
+    /// an adaptive source observe stale state. Any mix of the three
+    /// styles serves the same sequence as a scalar `step` loop.
+    #[inline]
+    pub fn serve_from<S: RequestSource + ?Sized>(&mut self, source: &mut S, max: usize) -> usize {
+        if let Some(run) = source.next_page_run(max).filter(|r| !r.is_empty()) {
+            self.step_page_batch(run);
+            return run.len();
+        }
+        if let Some(run) = source.next_run(max).filter(|r| !r.is_empty()) {
+            self.step_batch(run);
+            return run.len();
+        }
+        let mut served = 0;
+        while served < max {
+            let Some(req) = source.next_request(&self.ctx()) else {
+                break;
+            };
+            self.step(req);
+            served += 1;
+        }
+        served
     }
 
     /// The fault-tolerant counterpart of [`run_batched`](Self::run_batched):
@@ -834,6 +874,87 @@ mod tests {
         assert_eq!(eng.stats().miss_vector(), batch.miss_vector());
         assert_eq!(eng.stats().eviction_vector(), batch.stats.eviction_vector());
         assert_eq!(eng.time(), batch.steps);
+    }
+
+    /// Hand-derived reference for the state machine, independent of
+    /// both the engine and the [`crate::Simulator`] façade over it.
+    /// EvictFirst evicts physical slot 0, and the cache swap-removes:
+    ///
+    /// ```text
+    /// t  req  outcome                  slots after
+    /// 0  p0   miss u0                  [0]
+    /// 1  p2   miss u1                  [0 2]
+    /// 2  p1   miss u0                  [0 2 1]
+    /// 3  p3   miss u1, evict p0 (u0)   [1 2 3]
+    /// 4  p0   miss u0, evict p1 (u0)   [3 2 0]
+    /// 5  p2   hit  u1                  [3 2 0]
+    /// 6  p3   hit  u1                  [3 2 0]
+    /// 7  p1   miss u0, evict p3 (u1)   [0 2 1]
+    /// 8  p0   hit  u0                  [0 2 1]
+    /// ```
+    ///
+    /// The end-of-run flush then evicts p0, p1 (u0) and p2 (u1).
+    #[test]
+    fn known_answer_two_user_trace() {
+        let u = Universe::uniform(2, 2); // u0: p0 p1; u1: p2 p3
+        let trace = Trace::from_page_indices(&u, &[0, 2, 1, 3, 0, 2, 3, 1, 0]);
+        for flush in [false, true] {
+            let r = crate::Simulator::new(3)
+                .flush_at_end(flush)
+                .run(&mut EvictFirst, &trace);
+            assert_eq!(r.steps, 9);
+            assert_eq!(r.miss_vector(), vec![4, 2], "flush={flush}");
+            let hits: Vec<u64> = r.stats.per_user().iter().map(|s| s.hits).collect();
+            assert_eq!(hits, vec![1, 2], "flush={flush}");
+            let evictions = if flush { vec![4, 2] } else { vec![2, 1] };
+            assert_eq!(r.stats.eviction_vector(), evictions, "flush={flush}");
+            assert_eq!(r.final_cache, vec![PageId(0), PageId(1), PageId(2)]);
+        }
+    }
+
+    /// `serve_from` over an adaptive source pulls each request against
+    /// the live state, whatever `max` it is given: it must match the
+    /// scalar façade request for request. The adversary asks for the
+    /// lowest uncached page, so a pull that saw stale state would ask
+    /// for a page the previous request already brought in.
+    #[test]
+    fn serve_from_pulls_adaptive_sources_against_live_state() {
+        fn adversary() -> crate::AdaptiveSource<impl FnMut(&[PageId]) -> Option<PageId>> {
+            let mut remaining = 40;
+            crate::AdaptiveSource::new(Universe::uniform(2, 2), move |cached: &[PageId]| {
+                if remaining == 0 {
+                    return None;
+                }
+                remaining -= 1;
+                (0..4).map(PageId).find(|p| !cached.contains(p))
+            })
+        }
+        let reference = crate::Simulator::new(3)
+            .record_events(true)
+            .run_source(&mut EvictFirst, &mut adversary());
+        assert_eq!(
+            reference.total_misses(),
+            40,
+            "every adaptive request misses"
+        );
+
+        let mut src = adversary();
+        let mut eng = SteppingEngine::new(3, src.universe().clone(), EvictFirst).with_events();
+        let mut served = 0;
+        for max in [1, 3, 7, 64].into_iter().cycle() {
+            let n = eng.serve_from(&mut src, max);
+            assert!(n <= max);
+            if n == 0 {
+                break;
+            }
+            served += n;
+        }
+        assert_eq!(served as u64, reference.steps);
+        assert_eq!(eng.stats(), &reference.stats);
+        assert_eq!(
+            eng.events().unwrap().to_vec(),
+            reference.events.as_ref().unwrap().to_vec()
+        );
     }
 
     #[test]

@@ -14,8 +14,10 @@
 //!
 //! Pair them with
 //! [`Simulator::run_source_batched`](occ_sim::Simulator::run_source_batched)
-//! (or a [`SteppingEngine`](occ_sim::SteppingEngine) loop) to keep the
-//! whole replay allocation-free per request.
+//! or [`SteppingEngine::serve_from`](occ_sim::SteppingEngine::serve_from)
+//! to keep the whole replay allocation-free per request: these sources
+//! hand out no runs, so each request is pulled and served on its own,
+//! with nothing buffered.
 
 use crate::generators::{AccessPattern, PatternGen};
 use crate::mixer::TenantSpec;

@@ -17,8 +17,8 @@ use occ_baselines::{
 };
 use occ_core::{ConvexCaching, CostProfile, Monomial};
 use occ_sim::{
-    FaultHandler, FaultPolicy, PageId, ReplacementPolicy, Request, SimEvent, SteppingEngine,
-    Universe, UserId,
+    FaultHandler, FaultPolicy, PageId, ReplacementPolicy, Request, SimEvent, SteppingEngine, Trace,
+    TraceSource, Universe, UserId,
 };
 use proptest::prelude::*;
 
@@ -182,6 +182,43 @@ fn run_step_batch(
     finish(engine)
 }
 
+/// Replay through `SteppingEngine::serve_from` over a `TraceSource`,
+/// cycling through `maxes` — the call pattern of every driver (soak,
+/// fleet, supervisor), with run lengths that cut the trace at arbitrary
+/// points.
+fn run_serve_from(
+    policy: &mut Box<dyn ReplacementPolicy>,
+    trace: &Trace,
+    k: usize,
+    maxes: &[usize],
+) -> Outcome {
+    let mut source = TraceSource::new(trace);
+    let mut engine = SteppingEngine::new(k, trace.universe().clone(), &mut **policy);
+    for &max in maxes.iter().cycle() {
+        if engine.serve_from(&mut source, max) == 0 {
+            break;
+        }
+    }
+    finish(engine)
+}
+
+/// A pseudo-random `serve_from` max sequence (each in `1..=97`) derived
+/// from the instance itself, so the instances the strategy draws stay
+/// exactly as they were before this replay was added.
+fn max_sequence(pages: &[u32], k: usize) -> Vec<usize> {
+    let mut s = pages.iter().fold(k as u64, |h, &p| {
+        h.wrapping_mul(0x100_0000_01b3) ^ u64::from(p)
+    });
+    (0..1 + pages.len() % 7)
+        .map(|_| {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            1 + (s >> 33) as usize % 97
+        })
+        .collect()
+}
+
 /// A random instance whose batch size is drawn from the boundary set
 /// {1, 2, 4095, 4096, 4097, trace_len}. Traces are mostly shorter than
 /// the default batch, so the large sizes exercise the
@@ -208,16 +245,23 @@ proptest! {
     fn step_batch_boundary_sizes_are_byte_identical(
         (universe, pages, k, batch_idx) in arb_boundary_instance()
     ) {
-        let requests: Vec<Request> =
-            pages.iter().map(|&p| universe.request(PageId(p))).collect();
+        let trace = Trace::from_page_indices(&universe, &pages);
+        let requests = trace.requests();
         let batch = [1, 2, 4095, 4096, 4097, requests.len()][batch_idx];
         for mut policy in batched_grid_suite(universe.num_users()) {
-            let scalar = run_fast(&mut policy, &universe, &requests, k, batch, false);
+            let scalar = run_fast(&mut policy, &universe, requests, k, batch, false);
             policy.reset();
-            let batched = run_step_batch(&mut policy, &universe, &requests, k, batch);
+            let batched = run_step_batch(&mut policy, &universe, requests, k, batch);
             prop_assert_eq!(
                 &scalar, &batched,
                 "policy {} diverged at batch size {}", policy.name(), batch
+            );
+            policy.reset();
+            let maxes = max_sequence(&pages, k);
+            let served = run_serve_from(&mut policy, &trace, k, &maxes);
+            prop_assert_eq!(
+                &scalar, &served,
+                "policy {} diverged under serve_from with maxes {:?}", policy.name(), maxes
             );
         }
     }
