@@ -1,12 +1,14 @@
 #![warn(missing_docs)]
-//! Experiment harness: policy comparison, theorem bound checks, summary
-//! statistics, parallel sweeps, and table rendering.
+//! Experiment harness: the policy registry, policy comparison, theorem
+//! bound checks, summary statistics, parallel sweeps, and table
+//! rendering.
 //!
 //! The binaries in `occ-bench` compose these pieces into the E1–E8
 //! experiments indexed in DESIGN.md.
 
 pub mod epochs;
 pub mod mrc;
+pub mod policies;
 pub mod runner;
 pub mod stats;
 pub mod table;

@@ -55,8 +55,8 @@ pub fn evaluate_policy<P: ReplacementPolicy>(
 }
 
 /// Run a suite of policies on the same trace.
-pub fn compare_policies(
-    policies: &mut [Box<dyn ReplacementPolicy>],
+pub fn compare_policies<P: ReplacementPolicy>(
+    policies: &mut [P],
     trace: &Trace,
     k: usize,
     costs: &CostProfile,

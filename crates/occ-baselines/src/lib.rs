@@ -41,54 +41,10 @@ pub use marking::{Marking, MarkingReference};
 pub use rand_marking::{RandomizedMarking, RandomizedMarkingReference};
 pub use random_policy::RandomEvict;
 
-use occ_core::CostProfile;
-use occ_sim::ReplacementPolicy;
-
-/// The standard suite of online policies used by the comparison
-/// experiments; the paper's algorithm is added separately by callers.
-///
-/// `costs` parameterizes the cost-aware entries ([`CostGreedy`]) and the
-/// weights of [`GreedyDual`] (taken as each user's cost at one miss,
-/// `f_i(1)`, which equals `w_i` for linear profiles).
-pub fn standard_suite(costs: &CostProfile) -> Vec<Box<dyn ReplacementPolicy>> {
-    let weights: Vec<f64> = (0..costs.num_users())
-        .map(|u| costs.user(occ_sim::UserId(u)).eval(1.0).max(1e-9))
-        .collect();
-    vec![
-        Box::new(Lru::new()),
-        Box::new(Fifo::new()),
-        Box::new(Lfu::new()),
-        Box::new(Marking::new()),
-        Box::new(LruK::new(2)),
-        Box::new(RandomEvict::new(0xC0FFEE)),
-        Box::new(GreedyDual::new(weights)),
-        Box::new(CostGreedy::new(costs.clone())),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use occ_core::Monomial;
-    use occ_sim::{Simulator, Trace, Universe};
-
-    #[test]
-    fn suite_runs_end_to_end() {
-        let u = Universe::uniform(2, 3);
-        let pages: Vec<u32> = (0..120u32).map(|i| (i * 11 + 2) % 6).collect();
-        let trace = Trace::from_page_indices(&u, &pages);
-        let costs = CostProfile::uniform(2, Monomial::power(2.0));
-        let mut names = Vec::new();
-        for mut policy in standard_suite(&costs) {
-            let r = Simulator::new(3).run(&mut policy, &trace);
-            assert!(r.total_misses() >= 6, "{} missed too little", policy.name());
-            assert_eq!(r.steps, 120);
-            names.push(policy.name());
-        }
-        names.sort();
-        names.dedup();
-        assert_eq!(names.len(), 8, "policy names must be distinct");
-    }
+    use occ_sim::{ReplacementPolicy, Trace, Universe};
 
     #[test]
     fn checkpoint_resume_is_byte_identical_for_supported_policies() {
@@ -162,20 +118,6 @@ mod tests {
             let full_events: Vec<_> = full_events.iter().cloned().collect();
             assert_eq!(stitched, full_events, "{name}: event streams diverged");
             assert_eq!(tail.stats(), &full_stats, "{name}: stats diverged");
-        }
-    }
-
-    #[test]
-    fn suite_policies_are_resettable() {
-        let u = Universe::single_user(4);
-        let pages: Vec<u32> = (0..60u32).map(|i| (i * 3 + 1) % 4).collect();
-        let trace = Trace::from_page_indices(&u, &pages);
-        let costs = CostProfile::uniform(1, Monomial::power(2.0));
-        for mut policy in standard_suite(&costs) {
-            let a = Simulator::new(2).run(&mut policy, &trace).total_misses();
-            policy.reset();
-            let b = Simulator::new(2).run(&mut policy, &trace).total_misses();
-            assert_eq!(a, b, "{} is not reproducible after reset", policy.name());
         }
     }
 }

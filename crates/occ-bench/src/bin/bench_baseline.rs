@@ -71,7 +71,8 @@
 //! marker. The exactness checks can never be flaky; the normalized
 //! delta gate cancels host-speed waves instead of flapping with them.
 
-use occ_baselines::{Fifo, GreedyDual, Lru, LruReference, Marking};
+use occ_analysis::policies::{self, Build};
+use occ_baselines::{Fifo, GreedyDual, Lru, LruReference};
 use occ_core::{ConvexCaching, CostProfile, Monomial};
 use occ_fleet::{run_fleet_typed, run_shared_fleet, FleetConfig, SharedConfig};
 use occ_probe::{Json, MetricsRecorder};
@@ -90,6 +91,15 @@ use std::time::Instant;
 const TRACE_LEN: usize = 200_000;
 const CACHE_SIZES: [usize; 2] = [1024, 4096];
 const THROUGHPUT_REPS: usize = 5;
+/// Policies of the scalar grid, in output order.
+const SCALAR_POLICIES: [&str; 6] = [
+    "lru",
+    "lru-reference",
+    "fifo",
+    "marking",
+    "greedy-dual",
+    "alg-discrete",
+];
 /// Policies that get a batched-replay entry next to their scalar one.
 const BATCHED_POLICIES: [&str; 4] = ["lru", "fifo", "greedy-dual", "alg-discrete"];
 /// Shard counts for the fleet entries.
@@ -154,16 +164,16 @@ fn workloads(k: usize) -> Vec<Workload> {
     ]
 }
 
-fn policy_suite(num_users: u32) -> Vec<(&'static str, Box<dyn ReplacementPolicy>)> {
+/// Build the policy behind a bench label through the registry
+/// (`alg-discrete` is an alias of `convex`) under uniform quadratic
+/// costs; `lru-reference` is the bench's own reference twin.
+fn boxed_policy(label: &str, num_users: u32) -> Box<dyn ReplacementPolicy> {
     let costs = CostProfile::uniform(num_users, Monomial::power(2.0));
-    vec![
-        ("lru", Box::new(Lru::new()) as Box<dyn ReplacementPolicy>),
-        ("lru-reference", Box::new(LruReference::new())),
-        ("fifo", Box::new(Fifo::new())),
-        ("marking", Box::new(Marking::new())),
-        ("greedy-dual", Box::new(GreedyDual::unweighted(num_users))),
-        ("alg-discrete", Box::new(ConvexCaching::new(costs))),
-    ]
+    match policies::find(label).map(|e| e.build) {
+        Ok(Build::Online(make)) => make(&costs),
+        _ if label == "lru-reference" => Box::new(LruReference::new()),
+        _ => panic!("bench label {label} is not an online registry policy"),
+    }
 }
 
 struct Measurement {
@@ -786,15 +796,7 @@ fn run_smoke(committed: &[CommittedCell]) {
         // measured scalar over committed scalar.
         let mut scalar_factors: Vec<f64> = Vec::new();
         for label in BATCHED_POLICIES {
-            let mut policy: Box<dyn ReplacementPolicy> = match label {
-                "lru" => Box::new(Lru::new()),
-                "fifo" => Box::new(Fifo::new()),
-                "greedy-dual" => Box::new(GreedyDual::unweighted(wl.num_users)),
-                _ => Box::new(ConvexCaching::new(CostProfile::uniform(
-                    wl.num_users,
-                    Monomial::power(2.0),
-                ))),
-            };
+            let mut policy = boxed_policy(label, wl.num_users);
             // Same paired (interleaved, stats-asserted) measurement as
             // the grid cells — the Δ gate below compares like with like.
             let (ms, mb) = paired_cell(label, &mut policy, wl, k, SMOKE_REPS);
@@ -937,7 +939,8 @@ fn main() {
             // machine-speed drift between cells; the rest measure
             // scalar-only.
             let mut batched_pending: Vec<(&'static str, Measurement)> = Vec::new();
-            for (label, mut policy) in policy_suite(wl.num_users) {
+            for label in SCALAR_POLICIES {
+                let mut policy = boxed_policy(label, wl.num_users);
                 let m = if BATCHED_POLICIES.contains(&label) {
                     let (ms, mb) = paired_cell(label, &mut policy, &wl, k, THROUGHPUT_REPS);
                     batched_pending.push((label, mb));

@@ -8,9 +8,8 @@
 //! the steep region of their refund curve onto tenants whose marginal
 //! cost is flat.
 
-use occ_analysis::{compare_policies, evaluate_policy, fnum, Table};
+use occ_analysis::{compare_policies, fnum, policies, Table};
 use occ_bench::{finish, Reporter};
-use occ_core::ConvexCaching;
 use occ_workloads::all_scenarios;
 
 fn main() {
@@ -27,10 +26,8 @@ fn main() {
             scenario.tenants.len()
         ));
 
-        let mut suite = occ_baselines::standard_suite(&scenario.costs);
+        let mut suite = policies::online_suite(&scenario.costs);
         let mut reports = compare_policies(&mut suite, &trace, k, &scenario.costs);
-        let mut ours = ConvexCaching::new(scenario.costs.clone());
-        reports.push(evaluate_policy(&mut ours, &trace, k, &scenario.costs));
         reports.sort_by(|a, b| a.cost.total_cmp(&b.cost));
 
         let best_cost = reports[0].cost;

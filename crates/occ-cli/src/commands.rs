@@ -2,14 +2,13 @@
 
 use crate::args::{parse_scaled, Args};
 use crate::errors::CliError;
+use occ_analysis::policies::{self, BoxedPolicy, Build, MakeOnline};
 use occ_analysis::{compare_policies, evaluate_policy, fnum, lru_cost_curve, lru_mrc, Table};
-use occ_baselines::{CostGreedy, Fifo, GreedyDual, Lfu, Lru, LruK, Marking, RandomEvict};
 use occ_core::{ConvexCaching, CostProfile};
 use occ_fleet::{
     run_fleet, run_shared_fleet, run_supervised_fleet, BackoffPolicy, DirPersist, FleetConfig,
     NoPersist, ShardKill, ShardPersist, SharedConfig, SharedError, StoreFault, SupervisorConfig,
 };
-use occ_offline::{Belady, CostAwareBelady};
 use occ_probe::{
     require_trailer, snapshot_from_json, write_atomic, write_checkpoint_file, AtomicWriter,
     DualPoint, DualTrace, Json, JsonlSink, MetricsRecorder, ObserveReport, SeriesFile, SeriesSink,
@@ -195,16 +194,6 @@ POLICIES:
   belady-cost (offline)
 ";
 
-/// Read `--policy`, resolving `alg-discrete` (the paper's name for its
-/// algorithm, used by the bench) to the CLI's name `convex`, so both
-/// names run, label and checkpoint identically.
-fn policy_arg(args: &Args, default: &str) -> String {
-    match args.str_or("policy", default) {
-        name if name == "alg-discrete" => "convex".into(),
-        name => name,
-    }
-}
-
 /// Classify a flag-parsing error as a usage error (exit 2).
 fn uarg<T>(r: Result<T, String>) -> Result<T, CliError> {
     r.map_err(CliError::Usage)
@@ -238,39 +227,45 @@ fn find_scenario(name: &str) -> Result<Scenario, CliError> {
         })
 }
 
-/// The online policies — everything a streaming run (no materialized
-/// trace) can use. `None` for offline or unknown names.
-fn make_online_policy(name: &str, costs: &CostProfile) -> Option<Box<dyn ReplacementPolicy>> {
-    let weights: Vec<f64> = (0..costs.num_users())
-        .map(|u| costs.user(occ_sim::UserId(u)).eval(1.0).max(1e-9))
-        .collect();
-    Some(match name {
-        "convex" => Box::new(ConvexCaching::new(costs.clone())),
-        "lru" => Box::new(Lru::new()),
-        "fifo" => Box::new(Fifo::new()),
-        "lfu" => Box::new(Lfu::new()),
-        "marking" => Box::new(Marking::new()),
-        "lru2" => Box::new(LruK::new(2)),
-        "random" => Box::new(RandomEvict::new(0xC0FFEE)),
-        "greedy-dual" => Box::new(GreedyDual::new(weights)),
-        "cost-greedy" => Box::new(CostGreedy::new(costs.clone())),
-        _ => return None,
-    })
+/// Read a cache-size flag (`--k`, `--max-k`): a cache needs a slot.
+fn k_arg(args: &Args, flag: &str, default: usize) -> Result<usize, CliError> {
+    match uarg(args.num_or(flag, default))? {
+        0 => Err(CliError::Usage(format!("--{flag} must be positive"))),
+        k => Ok(k),
+    }
 }
 
-fn make_policy(
+/// Resolve a policy for a command that streams its workload (`who`) and
+/// so never holds the whole trace an offline policy needs. With `shared`,
+/// only the registry's shared entries qualify: instances on the
+/// segments of one cache must behave like the replay's mirror.
+fn online_policy(
     name: &str,
-    costs: &CostProfile,
-    trace: &Trace,
-) -> Result<Box<dyn ReplacementPolicy>, CliError> {
-    if let Some(policy) = make_online_policy(name, costs) {
-        return Ok(policy);
+    who: &str,
+    shared: bool,
+) -> Result<(&'static str, MakeOnline), String> {
+    let entry = policies::find(name)?;
+    match entry.build {
+        Build::Online(make) if entry.shared || !shared => Ok((entry.name, make)),
+        Build::Online(_) => {
+            let names: Vec<&str> = policies::POLICIES
+                .iter()
+                .filter(|e| e.shared)
+                .map(|e| e.name)
+                .collect();
+            Err(format!(
+                "policy '{}' cannot share a cache across threads: shard instances \
+                 must have pure callbacks (available: {})",
+                entry.name,
+                names.join(", ")
+            ))
+        }
+        Build::Offline(_) => Err(format!(
+            "policy '{}' is offline; {who} streams its workload and never \
+             materializes a trace",
+            entry.name
+        )),
     }
-    Ok(match name {
-        "belady" => Box::new(Belady::new(trace)),
-        "belady-cost" => Box::new(CostAwareBelady::new(trace, costs.clone())),
-        other => return Err(CliError::Usage(format!("unknown policy '{other}'"))),
-    })
 }
 
 /// `occ scenarios`
@@ -722,9 +717,9 @@ fn trace_import(args: &Args) -> Result<(), CliError> {
 pub fn run(args: &Args) -> Result<(), CliError> {
     let scenario = find_scenario(&uarg(args.str_required("scenario"))?)?;
     let trace = load_or_generate(args, &scenario)?;
-    let k: usize = uarg(args.num_or("k", scenario.suggested_k))?;
-    let policy_name = policy_arg(args, "convex");
-    let mut policy = make_policy(&policy_name, &scenario.costs, &trace)?;
+    let k = k_arg(args, "k", scenario.suggested_k)?;
+    let policy = uarg(policies::find(&args.str_or("policy", "convex")))?;
+    let mut policy = policy.build(&scenario.costs, &trace);
     let report = evaluate_policy(&mut policy, &trace, k, &scenario.costs);
 
     let mut t = Table::new(vec![
@@ -751,12 +746,10 @@ pub fn run(args: &Args) -> Result<(), CliError> {
 pub fn compare(args: &Args) -> Result<(), CliError> {
     let scenario = find_scenario(&uarg(args.str_required("scenario"))?)?;
     let trace = load_or_generate(args, &scenario)?;
-    let k: usize = uarg(args.num_or("k", scenario.suggested_k))?;
+    let k = k_arg(args, "k", scenario.suggested_k)?;
 
-    let mut suite = occ_baselines::standard_suite(&scenario.costs);
+    let mut suite = policies::online_suite(&scenario.costs);
     let mut reports = compare_policies(&mut suite, &trace, k, &scenario.costs);
-    let mut ours = ConvexCaching::new(scenario.costs.clone());
-    reports.push(evaluate_policy(&mut ours, &trace, k, &scenario.costs));
     reports.sort_by(|a, b| a.cost.total_cmp(&b.cost));
 
     let best = reports[0].cost;
@@ -777,7 +770,7 @@ pub fn compare(args: &Args) -> Result<(), CliError> {
 pub fn mrc(args: &Args) -> Result<(), CliError> {
     let scenario = find_scenario(&uarg(args.str_required("scenario"))?)?;
     let trace = load_or_generate(args, &scenario)?;
-    let max_k: usize = uarg(args.num_or("max-k", scenario.suggested_k * 2))?;
+    let max_k = k_arg(args, "max-k", scenario.suggested_k * 2)?;
     let curve = lru_mrc(&trace, max_k);
     let costs = lru_cost_curve(&curve, &scenario.costs);
 
@@ -804,21 +797,13 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
     }
     let len: u64 = uarg(args.scaled_or("len", 60_000))?;
     let seed: u64 = uarg(args.num_or("seed", 7u64))?;
-    let k: usize = uarg(args.num_or("k", scenario.suggested_k))?;
+    let k = k_arg(args, "k", scenario.suggested_k)?;
     let batch: usize = uarg(args.num_or("batch", occ_sim::DEFAULT_BATCH_SIZE))?;
     if batch == 0 {
         return Err(CliError::Usage("--batch must be positive".into()));
     }
-    let policy_name = policy_arg(args, "lru");
-    if policy_name == "belady" || policy_name == "belady-cost" {
-        return Err(CliError::Usage(format!(
-            "policy '{policy_name}' is offline; the fleet streams its workload \
-             and never materializes a trace"
-        )));
-    }
-    if make_online_policy(&policy_name, &scenario.costs).is_none() {
-        return Err(CliError::Usage(format!("unknown policy '{policy_name}'")));
-    }
+    let name = args.str_or("policy", "lru");
+    let (policy_name, make_policy) = uarg(online_policy(&name, "the fleet", false))?;
 
     let window = uarg(args.scaled_or("window", 0))?;
 
@@ -909,6 +894,7 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
         let mut resume_index = vec![0u64; shards];
         if !from_dir.is_empty() {
             let probe = scenario.stream(len, seed);
+            let owners = probe.universe().owners();
             let mut resume = Vec::with_capacity(shards);
             for (i, slot) in resume_index.iter_mut().enumerate() {
                 let path = DirPersist::ckpt_path(Path::new(&from_dir), i);
@@ -917,26 +903,8 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
                     continue;
                 }
                 let snap = read_checkpoint(&path)?;
-                if probe.universe().owners() != snap.owners.as_slice() {
-                    return Err(CliError::Usage(format!(
-                        "shard {i} checkpoint universe does not match scenario '{}'; \
-                         resume with the original --scenario/--len/--seed",
-                        scenario.name
-                    )));
-                }
-                if snap.capacity != k {
-                    return Err(CliError::Usage(format!(
-                        "--k {k} disagrees with shard {i}'s checkpoint capacity {}",
-                        snap.capacity
-                    )));
-                }
-                if !snap.time.is_multiple_of(window) {
-                    return Err(CliError::Usage(format!(
-                        "shard {i} checkpoint is at t={} which is mid-window for \
-                         --window {window}; resume with the original window width",
-                        snap.time
-                    )));
-                }
+                let label = path.display().to_string();
+                snapshot_k(args, &snap, &label, owners, window, true, k)?;
                 *slot = snap.time / window;
                 resume.push(Some(snap));
             }
@@ -945,7 +913,7 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
 
         let meta = [
             ("scenario", Json::Str(scenario.name.to_string())),
-            ("policy", Json::Str(policy_name.clone())),
+            ("policy", Json::Str(policy_name.into())),
             ("k", Json::from_u64(k as u64)),
             ("seed", Json::from_u64(seed)),
             ("len", Json::from_u64(len)),
@@ -969,7 +937,7 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
             shards,
             &scfg,
             |i| scenario.stream(len, shard_seed(i)),
-            |_| make_online_policy(&policy_name, costs).expect("validated above"),
+            |_| make_policy(costs),
             |i| {
                 persists.lock().expect("persist handoff")[i]
                     .take()
@@ -1004,9 +972,7 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
             let sources: Vec<_> = (0..shards)
                 .map(|i| scenario.stream(len, shard_seed(i)))
                 .collect();
-            run_fleet(sources, &cfg, |_| {
-                make_online_policy(&policy_name, costs).expect("validated above")
-            })
+            run_fleet(sources, &cfg, |_| make_policy(costs))
         } else {
             // Every shard replays the same trace file through its own
             // feed; occbin01 shards each map the file (the kernel
@@ -1022,9 +988,7 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
                     f.strategy()
                 );
             }
-            run_fleet(sources, &cfg, |_| {
-                make_online_policy(&policy_name, costs).expect("validated above")
-            })
+            run_fleet(sources, &cfg, |_| make_policy(costs))
         }
     };
 
@@ -1100,25 +1064,6 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
         }
     }
     Ok(())
-}
-
-/// The policies whose callbacks are *pure* in the shared-cache sense:
-/// they read only `ctx.universe` (never `ctx.cache`, `ctx.stats`, or the
-/// clock), so S per-shard instances behave identically to the replay's
-/// sharded mirror. Everything else is rejected for `occ concurrent`.
-fn make_shared_policy(
-    name: &str,
-    costs: &CostProfile,
-) -> Option<Box<dyn ReplacementPolicy + Send>> {
-    let weights: Vec<f64> = (0..costs.num_users())
-        .map(|u| costs.user(UserId(u)).eval(1.0).max(1e-9))
-        .collect();
-    Some(match name {
-        "lru" => Box::new(Lru::new()),
-        "fifo" => Box::new(Fifo::new()),
-        "greedy-dual" => Box::new(GreedyDual::new(weights)),
-        _ => return None,
-    })
 }
 
 /// First line of a `--schedule-out` file. The header carries everything
@@ -1247,17 +1192,9 @@ pub fn concurrent(args: &Args) -> Result<(), CliError> {
     }
     let len: u64 = uarg(args.scaled_or("len", 20_000))?;
     let seed: u64 = uarg(args.num_or("seed", 7u64))?;
-    let k: usize = uarg(args.num_or("k", scenario.suggested_k))?;
-    if k == 0 {
-        return Err(CliError::Usage("--k must be positive".into()));
-    }
-    let policy_name = policy_arg(args, "lru");
-    if make_shared_policy(&policy_name, &scenario.costs).is_none() {
-        return Err(CliError::Usage(format!(
-            "policy '{policy_name}' cannot share a cache across threads: shard \
-             instances must have pure callbacks (available: lru, fifo, greedy-dual)"
-        )));
-    }
+    let k = k_arg(args, "k", scenario.suggested_k)?;
+    let name = args.str_or("policy", "lru");
+    let (policy_name, make_policy) = uarg(online_policy(&name, "occ concurrent", true))?;
     let verify = match args.str_or("verify", "on").as_str() {
         "on" => true,
         "off" => false,
@@ -1268,21 +1205,8 @@ pub fn concurrent(args: &Args) -> Result<(), CliError> {
         }
     };
 
-    let page_rate: f64 = uarg(args.num_or("chaos-page-rate", 0.0f64))?;
-    let owner_rate: f64 = uarg(args.num_or("chaos-owner-rate", 0.0f64))?;
-    let truncate: u64 = uarg(args.scaled_or("chaos-truncate", 0))?;
-    let chaos_seed: u64 = uarg(args.num_or("chaos-seed", 0xC4A05u64))?;
-    for (name, rate) in [
-        ("chaos-page-rate", page_rate),
-        ("chaos-owner-rate", owner_rate),
-    ] {
-        if !(0.0..=1.0).contains(&rate) {
-            return Err(CliError::Usage(format!(
-                "--{name} must be in [0, 1], got {rate}"
-            )));
-        }
-    }
-    let chaos_active = page_rate > 0.0 || owner_rate > 0.0 || truncate > 0;
+    let plan = chaos_plan(args)?;
+    let chaos_active = !plan.is_clean();
     let degrade = degrade_from_args(args, chaos_active)?.unwrap_or(FaultPolicy::SkipAndCount);
 
     let mut cfg = SharedConfig::new(k);
@@ -1315,31 +1239,23 @@ pub fn concurrent(args: &Args) -> Result<(), CliError> {
             sources[0].total_requests(),
             sources[0].strategy()
         );
-        run_shared_fleet(universe, &cfg, &mut sources, |_| {
-            make_shared_policy(&policy_name, costs).expect("validated above")
-        })
+        run_shared_fleet(universe, &cfg, &mut sources, |_| make_policy(costs))
     } else if chaos_active {
         let mut sources: Vec<_> = (0..threads)
             .map(|t| {
-                let mut plan = FaultPlan::seeded(chaos_seed ^ thread_seed(t))
-                    .with_page_rate(page_rate)
-                    .with_owner_rate(owner_rate);
-                if truncate > 0 {
-                    plan = plan.with_truncate_at(truncate as usize);
-                }
+                let plan = FaultPlan {
+                    seed: plan.seed ^ thread_seed(t),
+                    ..plan
+                };
                 ChaosSource::new(scenario.stream(len, thread_seed(t)), plan)
             })
             .collect();
-        run_shared_fleet(universe, &cfg, &mut sources, |_| {
-            make_shared_policy(&policy_name, costs).expect("validated above")
-        })
+        run_shared_fleet(universe, &cfg, &mut sources, |_| make_policy(costs))
     } else {
         let mut sources: Vec<_> = (0..threads)
             .map(|t| scenario.stream(len, thread_seed(t)))
             .collect();
-        run_shared_fleet(universe, &cfg, &mut sources, |_| {
-            make_shared_policy(&policy_name, costs).expect("validated above")
-        })
+        run_shared_fleet(universe, &cfg, &mut sources, |_| make_policy(costs))
     };
     let report = result.map_err(|e| match e {
         SharedError::Sim(e) => CliError::from(e),
@@ -1354,7 +1270,7 @@ pub fn concurrent(args: &Args) -> Result<(), CliError> {
             k,
             table_shards,
             threads,
-            &policy_name,
+            policy_name,
             degrade,
         );
         let write = || {
@@ -1438,19 +1354,15 @@ fn concurrent_replay(args: &Args, path: &str) -> Result<(), CliError> {
     let meta =
         parse_schedule_header(header).map_err(|m| CliError::Parse(format!("{path}: {m}")))?;
     let scenario = find_scenario(&meta.scenario)?;
-    if make_shared_policy(&meta.policy, &scenario.costs).is_none() {
-        return Err(CliError::Parse(format!(
-            "{path}: schedule header names non-shareable policy '{}'",
-            meta.policy
-        )));
-    }
+    let (_, make_policy) = online_policy(&meta.policy, "occ concurrent", true)
+        .map_err(|m| CliError::Parse(format!("{path}: {m}")))?;
     let schedule =
         CommitSchedule::from_lines(lines.filter(|l| !l.trim().is_empty() && !l.starts_with('#')))
             .map_err(|e| CliError::Parse(format!("{path}: {e}")))?;
 
     let universe = scenario.stream(1, 0).universe().clone();
-    let policies: Vec<Box<dyn ReplacementPolicy + Send>> = (0..meta.table_shards)
-        .map(|_| make_shared_policy(&meta.policy, &scenario.costs).expect("validated above"))
+    let policies: Vec<BoxedPolicy> = (0..meta.table_shards)
+        .map(|_| make_policy(&scenario.costs))
         .collect();
     let started = Instant::now();
     let outcome: ReplayOutcome =
@@ -1541,24 +1453,24 @@ fn parse_chaos_plan(text: &str, shards: usize, flag: &str) -> Result<Vec<(usize,
     Ok(out)
 }
 
-/// Fault-tolerance and checkpointing options shared by `occ observe` and
-/// `occ resume`.
+/// Everything an `occ observe` / `occ resume` drive needs besides the
+/// policy.
 struct DriveOpts<'a> {
+    k: usize,
+    universe: &'a Universe,
+    records: &'a [Request],
+    /// The checkpoint to continue (resume only).
+    snap: Option<&'a EngineSnapshot>,
+    /// JSONL event stream destination (empty = none).
+    events_path: &'a str,
     /// `Some` switches to the checked (`step_checked`) path; `None` keeps
     /// the monomorphized unchecked hot loop.
     degrade: Option<FaultPolicy>,
-    /// Fault state to restore into the handler (resume only).
-    resume_faults: Option<(&'a FaultCounters, &'a [UserId])>,
-    /// Write a checkpoint every this many requests (0 = off).
+    /// Write a checkpoint every this many requests (positive when
+    /// `checkpoint_path` is set).
     checkpoint_every: u64,
     /// Where checkpoints go (empty = off).
     checkpoint_path: &'a str,
-}
-
-impl DriveOpts<'_> {
-    fn checkpoints_on(&self) -> bool {
-        self.checkpoint_every > 0 && !self.checkpoint_path.is_empty()
-    }
 }
 
 fn write_checkpoint(path: &str, snap: &EngineSnapshot) -> Result<(), CliError> {
@@ -1578,7 +1490,7 @@ fn read_checkpoint(path: &Path) -> Result<EngineSnapshot, CliError> {
     Ok(snapshot_from_json(body)?)
 }
 
-/// Drive a stepping engine over `records` (starting at the engine's
+/// Drive a stepping engine over `opts.records` (starting at the engine's
 /// current clock, which is nonzero when resuming) with a recorder
 /// attached, invoking `sample(t, policy, is_final)` before every step and
 /// once after the last one. Handles fault degradation and periodic
@@ -1586,7 +1498,6 @@ fn read_checkpoint(path: &Path) -> Result<EngineSnapshot, CliError> {
 /// the policy's display name, the recorder, and the absorbed faults.
 fn observe_drive<P, R, F>(
     mut eng: SteppingEngine<P, R>,
-    records: &[Request],
     opts: &DriveOpts,
     mut sample: F,
 ) -> Result<(SimStats, u64, String, R, FaultCounters), CliError>
@@ -1595,6 +1506,7 @@ where
     R: occ_sim::Recorder,
     F: FnMut(Time, &P, bool),
 {
+    let records = opts.records;
     let start = eng.time() as usize;
     if start > records.len() {
         return Err(CliError::Usage(format!(
@@ -1608,9 +1520,9 @@ where
         None => None,
         Some(p) => {
             let mut h = FaultHandler::new(p, num_users);
-            if let Some((counters, quarantined)) = opts.resume_faults {
-                h.restore(counters.clone(), quarantined)?;
-                for &u in quarantined {
+            if let Some(snap) = opts.snap {
+                h.restore(snap.faults.clone(), &snap.quarantined)?;
+                for &u in &snap.quarantined {
                     eng.remove_user_externally(u);
                 }
             }
@@ -1618,6 +1530,14 @@ where
         }
     };
 
+    let checkpoints_on = !opts.checkpoint_path.is_empty();
+    let checkpoint = |eng: &SteppingEngine<P, R>, handler: &Option<FaultHandler>| {
+        let snap = match handler {
+            Some(h) => eng.snapshot_with_faults(h)?,
+            None => eng.snapshot()?,
+        };
+        write_checkpoint(opts.checkpoint_path, &snap)
+    };
     for r in &records[start..] {
         sample(eng.time(), eng.policy(), false);
         match &mut handler {
@@ -1628,21 +1548,13 @@ where
                 eng.step_checked(*r, h)?;
             }
         }
-        if opts.checkpoints_on() && eng.time().is_multiple_of(opts.checkpoint_every) {
-            let snap = match &handler {
-                Some(h) => eng.snapshot_with_faults(h)?,
-                None => eng.snapshot()?,
-            };
-            write_checkpoint(opts.checkpoint_path, &snap)?;
+        if checkpoints_on && eng.time().is_multiple_of(opts.checkpoint_every) {
+            checkpoint(&eng, &handler)?;
         }
     }
     sample(eng.time(), eng.policy(), true);
-    if opts.checkpoints_on() {
-        let snap = match &handler {
-            Some(h) => eng.snapshot_with_faults(h)?,
-            None => eng.snapshot()?,
-        };
-        write_checkpoint(opts.checkpoint_path, &snap)?;
+    if checkpoints_on {
+        checkpoint(&eng, &handler)?;
     }
     let faults = handler.map(|h| h.counters().clone()).unwrap_or_default();
     let stats = eng.stats().clone();
@@ -1652,50 +1564,41 @@ where
 }
 
 /// Run one policy with metrics (and optionally a JSONL event stream and
-/// a dual-trajectory sampler) attached. `resume_from` rebuilds the
-/// engine from a checkpoint instead of starting fresh.
-#[allow(clippy::too_many_arguments)]
+/// a dual-trajectory sampler) attached, from a fresh engine or from
+/// `opts.snap`.
 fn observe_policy<P: ReplacementPolicy>(
-    k: usize,
-    universe: &Universe,
-    records: &[Request],
-    resume_from: Option<&EngineSnapshot>,
     policy: P,
     rec: &mut MetricsRecorder,
-    events_path: &str,
     opts: &DriveOpts,
     mut sample: impl FnMut(Time, &P, bool),
 ) -> Result<(SimStats, u64, String, FaultCounters), CliError> {
-    let eng = match resume_from {
+    let eng = match opts.snap {
         Some(snap) => SteppingEngine::from_snapshot(snap, policy)?,
-        None => SteppingEngine::new(k, universe.clone(), policy),
+        None => SteppingEngine::new(opts.k, opts.universe.clone(), policy),
     };
+    let events_path = opts.events_path;
     if events_path.is_empty() {
         let (stats, steps, name, _, faults) =
-            observe_drive(eng.with_recorder(&mut *rec), records, opts, sample)?;
+            observe_drive(eng.with_recorder(&mut *rec), opts, sample)?;
         Ok((stats, steps, name, faults))
     } else {
         let file = File::create(events_path)
             .map_err(|e| CliError::Io(format!("create {events_path}: {e}")))?;
         let sink = JsonlSink::new(BufWriter::new(file));
-        let (stats, steps, name, (_, sink), faults) = observe_drive(
-            eng.with_recorder((&mut *rec, sink)),
-            records,
-            opts,
-            &mut sample,
-        )?;
+        let (stats, steps, name, (_, sink), faults) =
+            observe_drive(eng.with_recorder((&mut *rec, sink)), opts, &mut sample)?;
         sink.finish()
             .map_err(|e| CliError::Io(format!("writing {events_path}: {e}")))?;
         Ok((stats, steps, name, faults))
     }
 }
 
-/// Parse the `--chaos-*` flags into a fault plan (`None` when no fault
-/// injection was requested) and apply it to the trace.
-fn chaos_records(args: &Args, trace: &Trace) -> Result<(Vec<Request>, bool), CliError> {
+/// Parse the `--chaos-*` flags (observe, resume and concurrent) into a
+/// seeded fault plan, clean when no fault injection was requested.
+fn chaos_plan(args: &Args) -> Result<FaultPlan, CliError> {
     let page_rate: f64 = uarg(args.num_or("chaos-page-rate", 0.0f64))?;
     let owner_rate: f64 = uarg(args.num_or("chaos-owner-rate", 0.0f64))?;
-    let truncate: u64 = uarg(args.num_or("chaos-truncate", 0u64))?;
+    let truncate: u64 = uarg(args.scaled_or("chaos-truncate", 0))?;
     let seed: u64 = uarg(args.num_or("chaos-seed", 0xC4A05u64))?;
     for (name, rate) in [
         ("chaos-page-rate", page_rate),
@@ -1707,18 +1610,25 @@ fn chaos_records(args: &Args, trace: &Trace) -> Result<(Vec<Request>, bool), Cli
             )));
         }
     }
-    let mut plan = FaultPlan::seeded(seed)
+    let plan = FaultPlan::seeded(seed)
         .with_page_rate(page_rate)
         .with_owner_rate(owner_rate);
-    if truncate > 0 {
-        plan = plan.with_truncate_at(truncate as usize);
-    }
+    Ok(match truncate {
+        0 => plan,
+        n => plan.with_truncate_at(n as usize),
+    })
+}
+
+/// Apply the `--chaos-*` fault plan to the trace; `true` when it is not
+/// clean.
+fn chaos_records(args: &Args, trace: &Trace) -> Result<(Vec<Request>, bool), CliError> {
+    let plan = chaos_plan(args)?;
     if plan.is_clean() {
         return Ok((trace.requests().to_vec(), false));
     }
     let (records, injected) = plan.corrupt_trace(trace);
     eprintln!(
-        "chaos: injected {} corrupt pages, {} wrong owners{} (seed {seed})",
+        "chaos: injected {} corrupt pages, {} wrong owners{} (seed {})",
         injected.pages,
         injected.owners,
         if injected.truncated {
@@ -1726,6 +1636,7 @@ fn chaos_records(args: &Args, trace: &Trace) -> Result<(Vec<Request>, bool), Cli
         } else {
             ""
         },
+        plan.seed,
     );
     Ok((records, true))
 }
@@ -1777,79 +1688,121 @@ fn build_report(
     })
 }
 
-fn emit_report(report: &ObserveReport, out_path: &str) -> Result<(), CliError> {
-    let text = report.to_json();
-    if out_path.is_empty() {
-        emit(&text);
+/// Check that checkpoint `snap` (`label` in errors) can continue a run
+/// over a stream with page `owners` that closes a window every `window`
+/// requests (0: no windows) and, if `degraded_ok`, restores fault state.
+/// Returns the cache size: the snapshot's capacity, which `--k` (default
+/// `default_k`) must match.
+fn snapshot_k(
+    args: &Args,
+    snap: &EngineSnapshot,
+    label: &str,
+    owners: &[UserId],
+    window: u64,
+    degraded_ok: bool,
+    default_k: usize,
+) -> Result<usize, CliError> {
+    let degraded = !(snap.faults.is_clean() && snap.quarantined.is_empty());
+    let problem = if owners != snap.owners.as_slice() {
+        format!(
+            "its universe ({} pages / {} users) is not the stream's; resume with the \
+             original --scenario/--len/--seed (or --trace)",
+            snap.owners.len(),
+            snap.num_users
+        )
+    } else if window > 0 && !snap.time.is_multiple_of(window) {
+        format!("t={} is mid-window for --window {window}", snap.time)
+    } else if degraded && !degraded_ok {
+        "it comes from a degraded run; continue it with `occ resume --degrade ...`".into()
     } else {
-        std::fs::write(out_path, text + "\n")
-            .map_err(|e| CliError::Io(format!("write {out_path}: {e}")))?;
-        eprintln!("wrote report to {out_path}");
-    }
-    Ok(())
+        let k = k_arg(args, "k", default_k)?;
+        if k == snap.capacity {
+            return Ok(k);
+        }
+        format!("--k {k} disagrees with its capacity {}", snap.capacity)
+    };
+    Err(CliError::Usage(format!(
+        "{label} does not fit this run: {problem}"
+    )))
 }
 
 /// `occ observe`
 pub fn observe(args: &Args) -> Result<(), CliError> {
+    observe_run(args, None)
+}
+
+/// `occ resume`
+pub fn resume(args: &Args) -> Result<(), CliError> {
+    let from = uarg(args.str_required("from"))?;
+    observe_run(args, Some(read_checkpoint(Path::new(&from))?))
+}
+
+/// `occ observe` and `occ resume`: run one policy over the scenario's
+/// trace with full instrumentation and emit the report. `snap` continues
+/// a checkpointed run (`occ resume`) instead of starting fresh.
+fn observe_run(args: &Args, snap: Option<EngineSnapshot>) -> Result<(), CliError> {
     let scenario = find_scenario(&uarg(args.str_required("scenario"))?)?;
     let trace = load_or_generate(args, &scenario)?;
-    let k: usize = uarg(args.num_or("k", scenario.suggested_k))?;
-    let policy_name = policy_arg(args, "convex");
+    let policy = uarg(policies::find(&args.str_or("policy", "convex")))?;
     let every: u64 = uarg(args.num_or("every", 1_000u64))?;
     let events_path = args.str_or("events", "");
     let out_path = args.str_or("out", "");
     let checkpoint_path = args.str_or("checkpoint", "");
     let checkpoint_every: u64 = uarg(args.num_or("checkpoint-every", 10_000u64))?;
+    if !checkpoint_path.is_empty() && checkpoint_every == 0 {
+        return Err(CliError::Usage(
+            "--checkpoint needs a positive --checkpoint-every".into(),
+        ));
+    }
 
     let (records, chaos_active) = chaos_records(args, &trace)?;
     let degrade = degrade_from_args(args, chaos_active)?;
+    let (owners, resumable) = (trace.universe().owners(), degrade.is_some());
+    let k = match &snap {
+        Some(s) => snapshot_k(args, s, "checkpoint", owners, 0, resumable, s.capacity)?,
+        None => k_arg(args, "k", scenario.suggested_k)?,
+    };
     let opts = DriveOpts {
+        k,
+        universe: trace.universe(),
+        records: &records,
+        snap: snap.as_ref(),
+        events_path: &events_path,
         degrade,
-        resume_faults: None,
         checkpoint_every,
         checkpoint_path: &checkpoint_path,
     };
 
     let mut rec = MetricsRecorder::new();
     let mut dual: Option<DualTrace> = None;
-    let universe = trace.universe().clone();
-    let (stats, steps, name, faults) = if policy_name == "convex" {
+    // The convex branch keeps the concrete type: the dual probe reads
+    // ConvexCaching's state, which the boxed trait object hides.
+    let (stats, steps, name, faults) = if policy.name == "convex" {
         let alg = ConvexCaching::new(scenario.costs.clone());
         let mut dt = DualTrace::new(every);
-        let out = observe_policy(
-            k,
-            &universe,
-            &records,
-            None,
-            alg,
-            &mut rec,
-            &events_path,
-            &opts,
-            |t, p, fin| {
-                if fin {
-                    dt.finalize(t, p);
-                } else {
-                    dt.maybe_sample(t, p);
-                }
-            },
-        )?;
+        let out = observe_policy(alg, &mut rec, &opts, |t, p, fin| {
+            if fin {
+                dt.finalize(t, p);
+            } else {
+                dt.maybe_sample(t, p);
+            }
+        })?;
         dual = Some(dt);
         out
     } else {
-        let policy = make_policy(&policy_name, &scenario.costs, &trace)?;
-        observe_policy(
-            k,
-            &universe,
-            &records,
-            None,
-            policy,
-            &mut rec,
-            &events_path,
-            &opts,
-            |_, _, _| {},
-        )?
+        let policy = policy.build(&scenario.costs, &trace);
+        observe_policy(policy, &mut rec, &opts, |_, _, _| {})?
     };
 
+    debug_assert_eq!(steps as usize, records.len());
+    if let Some(s) = &snap {
+        eprintln!(
+            "resumed from t={} ({} of {} records remained)",
+            s.time,
+            records.len().saturating_sub(s.time as usize),
+            records.len()
+        );
+    }
     if !faults.is_clean() {
         eprintln!(
             "degraded ({}): absorbed {} faulty records, quarantined {} users",
@@ -1858,113 +1811,15 @@ pub fn observe(args: &Args) -> Result<(), CliError> {
             faults.quarantined_users
         );
     }
-    let report = build_report(name, k, &stats, &scenario.costs, &rec, dual.as_ref())?;
-    debug_assert_eq!(steps as usize, records.len());
-    emit_report(&report, &out_path)
-}
-
-/// `occ resume`
-pub fn resume(args: &Args) -> Result<(), CliError> {
-    let from = uarg(args.str_required("from"))?;
-    let snap = read_checkpoint(Path::new(&from))?;
-
-    let scenario = find_scenario(&uarg(args.str_required("scenario"))?)?;
-    let trace = load_or_generate(args, &scenario)?;
-    if trace.universe().owners() != snap.owners.as_slice() {
-        return Err(CliError::Usage(format!(
-            "snapshot universe ({} pages / {} users) does not match the trace; \
-             resume needs the same --scenario/--len/--seed (or --trace) as the original run",
-            snap.owners.len(),
-            snap.num_users
-        )));
-    }
-    // Capacity comes from the snapshot; an explicit --k must agree.
-    let k: usize = uarg(args.num_or("k", snap.capacity))?;
-    if k != snap.capacity {
-        return Err(CliError::Usage(format!(
-            "--k {k} disagrees with the snapshot's capacity {}",
-            snap.capacity
-        )));
-    }
-    let policy_name = policy_arg(args, "convex");
-    let every: u64 = uarg(args.num_or("every", 1_000u64))?;
-    let events_path = args.str_or("events", "");
-    let out_path = args.str_or("out", "");
-    let checkpoint_path = args.str_or("checkpoint", "");
-    let checkpoint_every: u64 = uarg(args.num_or("checkpoint-every", 10_000u64))?;
-
-    let (records, chaos_active) = chaos_records(args, &trace)?;
-    let degrade = degrade_from_args(args, chaos_active)?;
-    if degrade.is_none() && !(snap.faults.is_clean() && snap.quarantined.is_empty()) {
-        return Err(CliError::Usage(
-            "snapshot comes from a degraded run; pass --degrade to continue it".into(),
-        ));
-    }
-    let opts = DriveOpts {
-        degrade,
-        resume_faults: degrade
-            .is_some()
-            .then_some((&snap.faults, snap.quarantined.as_slice())),
-        checkpoint_every,
-        checkpoint_path: &checkpoint_path,
-    };
-
-    let mut rec = MetricsRecorder::new();
-    let mut dual: Option<DualTrace> = None;
-    let universe = trace.universe().clone();
-    let (stats, _steps, name, faults) = if policy_name == "convex" {
-        let alg = ConvexCaching::new(scenario.costs.clone());
-        let mut dt = DualTrace::new(every);
-        let out = observe_policy(
-            k,
-            &universe,
-            &records,
-            Some(&snap),
-            alg,
-            &mut rec,
-            &events_path,
-            &opts,
-            |t, p, fin| {
-                if fin {
-                    dt.finalize(t, p);
-                } else {
-                    dt.maybe_sample(t, p);
-                }
-            },
-        )?;
-        dual = Some(dt);
-        out
+    let text = build_report(name, k, &stats, &scenario.costs, &rec, dual.as_ref())?.to_json();
+    if out_path.is_empty() {
+        emit(&text);
     } else {
-        let policy = make_policy(&policy_name, &scenario.costs, &trace)?;
-        observe_policy(
-            k,
-            &universe,
-            &records,
-            Some(&snap),
-            policy,
-            &mut rec,
-            &events_path,
-            &opts,
-            |_, _, _| {},
-        )?
-    };
-
-    eprintln!(
-        "resumed from t={} ({} of {} records remained)",
-        snap.time,
-        records.len().saturating_sub(snap.time as usize),
-        records.len()
-    );
-    if !faults.is_clean() {
-        eprintln!(
-            "degraded ({}): {} faulty records total, {} users quarantined",
-            degrade.unwrap_or_default(),
-            faults.total_records(),
-            faults.quarantined_users
-        );
+        write_atomic(Path::new(&out_path), (text + "\n").as_bytes())
+            .map_err(|e| CliError::Io(format!("write {out_path}: {e}")))?;
+        eprintln!("wrote report to {out_path}");
     }
-    let report = build_report(name, k, &stats, &scenario.costs, &rec, dual.as_ref())?;
-    emit_report(&report, &out_path)
+    Ok(())
 }
 
 /// Streaming request feed for `occ soak`: a synthetic scenario mix or a
@@ -2314,16 +2169,8 @@ pub fn soak(args: &Args) -> Result<(), CliError> {
     if window == 0 {
         return Err(CliError::Usage("--window must be positive".into()));
     }
-    let policy_name = policy_arg(args, "convex");
-    if policy_name == "belady" || policy_name == "belady-cost" {
-        return Err(CliError::Usage(format!(
-            "policy '{policy_name}' is offline; soak streams its workload \
-             and never materializes a trace"
-        )));
-    }
-    if make_online_policy(&policy_name, &scenario.costs).is_none() {
-        return Err(CliError::Usage(format!("unknown policy '{policy_name}'")));
-    }
+    let name = args.str_or("policy", "convex");
+    let (policy_name, make_policy) = uarg(online_policy(&name, "soak", false))?;
     let series_path = args.str_or("series", "");
     let timed = match args.str_or("timing", "off").as_str() {
         "on" => true,
@@ -2388,46 +2235,16 @@ pub fn soak(args: &Args) -> Result<(), CliError> {
     } else {
         Some(read_checkpoint(Path::new(&from))?)
     };
+    let owners = source.universe().owners();
     let k = match &snap {
-        Some(s) => {
-            if source.universe().owners() != s.owners.as_slice() {
-                return Err(CliError::Usage(format!(
-                    "snapshot universe ({} pages / {} users) does not match the stream; \
-                     resume needs the same --scenario/--len/--seed (or --trace)",
-                    s.owners.len(),
-                    s.num_users
-                )));
-            }
-            if !s.time.is_multiple_of(window) {
-                return Err(CliError::Usage(format!(
-                    "checkpoint is at t={} which is mid-window for --window {window}; \
-                     resume with the original window width",
-                    s.time
-                )));
-            }
-            if !(s.faults.is_clean() && s.quarantined.is_empty()) {
-                return Err(CliError::Usage(
-                    "snapshot comes from a degraded run; soak has no fault handling — \
-                     continue it with `occ resume --degrade ...`"
-                        .into(),
-                ));
-            }
-            let k: usize = uarg(args.num_or("k", s.capacity))?;
-            if k != s.capacity {
-                return Err(CliError::Usage(format!(
-                    "--k {k} disagrees with the snapshot's capacity {}",
-                    s.capacity
-                )));
-            }
-            k
-        }
-        None => uarg(args.num_or("k", scenario.suggested_k))?,
+        Some(s) => snapshot_k(args, s, "checkpoint", owners, window, false, s.capacity)?,
+        None => k_arg(args, "k", scenario.suggested_k)?,
     };
     let start_t = snap.as_ref().map(|s| s.time).unwrap_or(0);
 
     let meta = [
         ("scenario", Json::Str(scenario.name.to_string())),
-        ("policy", Json::Str(policy_name.clone())),
+        ("policy", Json::Str(policy_name.into())),
         ("k", Json::from_u64(k as u64)),
         ("seed", Json::from_u64(seed)),
         ("len", Json::from_u64(target)),
@@ -2443,6 +2260,8 @@ pub fn soak(args: &Args) -> Result<(), CliError> {
         target,
     };
 
+    // The convex branch keeps the concrete type: the dual probe reads
+    // ConvexCaching's state, and the kernel is monomorphized.
     let summary = if policy_name == "convex" {
         let alg = ConvexCaching::new(scenario.costs.clone());
         let mut probe = |p: &ConvexCaching| {
@@ -2458,11 +2277,11 @@ pub fn soak(args: &Args) -> Result<(), CliError> {
             run_soak::<_, false>(k, snap.as_ref(), alg, &mut source, &opts, &mut probe)?
         }
     } else {
-        let policy = make_online_policy(&policy_name, &scenario.costs).expect("validated above");
+        let policy = make_policy(&scenario.costs);
         // The probe argument type must match run_soak's `P` exactly, and
         // here `P` really is the boxed trait object.
         #[allow(clippy::borrowed_box)]
-        let mut probe = |_: &Box<dyn ReplacementPolicy>| None;
+        let mut probe = |_: &BoxedPolicy| None;
         if timed {
             run_soak::<_, true>(k, snap.as_ref(), policy, &mut source, &opts, &mut probe)?
         } else {
@@ -2691,7 +2510,7 @@ pub fn conformance(args: &Args) -> Result<(), CliError> {
     let json = outcome.verdicts.to_json();
     let out_path = args.str_or("out", "");
     if !out_path.is_empty() {
-        std::fs::write(&out_path, format!("{json}\n"))
+        write_atomic(Path::new(&out_path), format!("{json}\n").as_bytes())
             .map_err(|e| CliError::Io(format!("write {out_path}: {e}")))?;
         eprintln!("verdicts written to {out_path}");
     }
@@ -2950,25 +2769,34 @@ mod tests {
     }
 
     #[test]
-    fn every_policy_name_constructs() {
-        let s = find_scenario("two-tier").unwrap();
-        let trace = s.trace(50, 1);
-        for name in [
-            "convex",
-            "lru",
-            "fifo",
-            "lfu",
-            "marking",
-            "lru2",
-            "random",
-            "greedy-dual",
-            "cost-greedy",
-            "belady",
-            "belady-cost",
-        ] {
-            make_policy(name, &s.costs, &trace).unwrap();
+    fn usage_lists_the_registry() {
+        let section = USAGE.split("POLICIES:").nth(1).expect("a POLICIES section");
+        let words: Vec<&str> = section
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .collect();
+        for e in policies::POLICIES {
+            for name in std::iter::once(&e.name).chain(e.aliases) {
+                assert!(words.contains(name), "USAGE's POLICIES omits {name}");
+            }
         }
-        assert!(make_policy("nope", &s.costs, &trace).is_err());
+        // `occ concurrent` names exactly the shared entries, in its usage
+        // line and in its rejection message.
+        let shared: Vec<&str> = policies::POLICIES
+            .iter()
+            .filter(|e| e.shared)
+            .map(|e| e.name)
+            .collect();
+        assert!(USAGE.contains(&format!("[--policy {}]", shared.join("|"))));
+        let err = concurrent(&args(&[
+            "concurrent",
+            "--scenario",
+            "two-tier",
+            "--policy",
+            "lfu",
+        ]))
+        .unwrap_err();
+        let listed = format!("(available: {})", shared.join(", "));
+        assert!(err.to_string().ends_with(&listed), "got: {err}");
     }
 
     #[test]
@@ -3253,6 +3081,23 @@ mod tests {
         ]))
         .unwrap_err();
         assert_eq!(err.exit_code(), 2, "got: {err}");
+        // A checkpoint file without a cadence would never be written.
+        let never = dir.join("never.json");
+        let no_cadence = [
+            "--scenario",
+            "two-tier",
+            "--len",
+            "300",
+            "--checkpoint",
+            never.to_str().unwrap(),
+            "--checkpoint-every",
+            "0",
+        ];
+        let err = observe(&args(&[&["observe"], &no_cadence[..]].concat())).unwrap_err();
+        assert_eq!(err.exit_code(), 2, "got: {err}");
+        let err = resume(&args(&[&["resume", "--from", c], &no_cadence[..]].concat())).unwrap_err();
+        assert_eq!(err.exit_code(), 2, "got: {err}");
+        assert!(!dir.join("never.json").exists());
         // A tampered snapshot version is a parse error. Re-seal the
         // tampered body with a fresh trailer so the version check — not
         // the checksum — is what fires.

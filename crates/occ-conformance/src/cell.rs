@@ -18,11 +18,10 @@
 
 use crate::grid::{Cell, CheckKind, CostKind, PolicyKind, WorkloadKind};
 use crate::verdict::Verdict;
+use occ_analysis::policies::{self, Build};
 use occ_analysis::{check_theorem_1_1_scaled, check_theorem_1_3_scaled};
-use occ_baselines::Lru;
 use occ_core::{
-    theorem_1_4_lower, try_check_claim_2_3, ConvexCaching, CostFn, CostProfile, Linear, Monomial,
-    PiecewiseLinear,
+    theorem_1_4_lower, try_check_claim_2_3, CostFn, CostProfile, Linear, Monomial, PiecewiseLinear,
 };
 use occ_offline::{batch_offline, belady_miss_vector, best_offline_heuristic, try_exact_opt};
 use occ_probe::MetricsRecorder;
@@ -126,9 +125,9 @@ fn build_trace(cell: &Cell, seed: u64) -> Trace {
 }
 
 fn make_policy(kind: PolicyKind, costs: &CostProfile) -> Box<dyn ReplacementPolicy> {
-    match kind {
-        PolicyKind::Convex => Box::new(ConvexCaching::new(costs.clone())),
-        PolicyKind::Lru => Box::new(Lru::new()),
+    match policies::find(kind.name()).map(|e| e.build) {
+        Ok(Build::Online(make)) => make(costs),
+        _ => unreachable!("grid policies are online registry entries"),
     }
 }
 

@@ -8,8 +8,8 @@
 //!
 //! Run with: `cargo run --release --example custom_policy`
 
-use occ_analysis::{compare_policies, evaluate_policy, fnum, Table};
-use occ_core::{ConvexCaching, CostProfile};
+use occ_analysis::{compare_policies, evaluate_policy, fnum, policies, Table};
+use occ_core::CostProfile;
 use occ_sim::{EngineCtx, PageId, ReplacementPolicy};
 use occ_workloads::two_tier;
 
@@ -90,12 +90,10 @@ fn main() {
     let trace = scenario.trace(40_000, 3);
     let k = scenario.suggested_k;
 
-    let mut suite = occ_baselines::standard_suite(&scenario.costs);
+    let mut suite = policies::online_suite(&scenario.costs);
     let mut reports = compare_policies(&mut suite, &trace, k, &scenario.costs);
     let mut custom = SlaClock::new(scenario.costs.clone());
     reports.push(evaluate_policy(&mut custom, &trace, k, &scenario.costs));
-    let mut ours = ConvexCaching::new(scenario.costs.clone());
-    reports.push(evaluate_policy(&mut ours, &trace, k, &scenario.costs));
     reports.sort_by(|a, b| a.cost.total_cmp(&b.cost));
 
     let mut table = Table::new(vec!["policy", "total cost", "miss rate"]);

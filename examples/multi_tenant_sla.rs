@@ -4,8 +4,7 @@
 //!
 //! Run with: `cargo run --release --example multi_tenant_sla`
 
-use occ_analysis::{compare_policies, evaluate_policy, fnum, Table};
-use occ_core::ConvexCaching;
+use occ_analysis::{compare_policies, fnum, policies, Table};
 use occ_workloads::sqlvm_like;
 
 fn main() {
@@ -27,10 +26,8 @@ fn main() {
         );
     }
 
-    let mut suite = occ_baselines::standard_suite(&scenario.costs);
+    let mut suite = policies::online_suite(&scenario.costs);
     let mut reports = compare_policies(&mut suite, &trace, k, &scenario.costs);
-    let mut ours = ConvexCaching::new(scenario.costs.clone());
-    reports.push(evaluate_policy(&mut ours, &trace, k, &scenario.costs));
     reports.sort_by(|a, b| a.cost.total_cmp(&b.cost));
 
     let mut table = Table::new(vec![

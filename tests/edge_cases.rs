@@ -7,49 +7,15 @@
 //! fully determined and must be identical across all eleven policies —
 //! and identical between the trusting and the checked step paths.
 
-use occ_baselines::{CostGreedy, Fifo, GreedyDual, Lfu, Lru, LruK, Marking, RandomEvict};
-use occ_core::{ConvexCaching, CostProfile, Monomial};
-use occ_offline::{Belady, CostAwareBelady};
-use occ_sim::{
-    FaultHandler, FaultPolicy, ReplacementPolicy, StepOutcome, SteppingEngine, Trace, Universe,
-    UserId,
-};
+use occ_analysis::policies::{PolicyEntry, POLICIES};
+use occ_core::{CostProfile, Monomial};
+use occ_sim::{FaultHandler, FaultPolicy, StepOutcome, SteppingEngine, Trace, Universe};
 
-/// The full shipping-policy roster, as spelled in `occ run --policy …`.
-const POLICIES: &[&str] = &[
-    "convex",
-    "lru",
-    "fifo",
-    "lfu",
-    "marking",
-    "lru2",
-    "random",
-    "greedy-dual",
-    "cost-greedy",
-    "belady",
-    "belady-cost",
-];
-
-/// Build a fresh policy instance by CLI name (mirrors `occ`'s factory so
-/// the sweep covers exactly what ships).
-fn build(name: &str, trace: &Trace, costs: &CostProfile) -> Box<dyn ReplacementPolicy> {
-    let weights: Vec<f64> = (0..costs.num_users())
-        .map(|u| costs.user(UserId(u)).eval(1.0).max(1e-9))
-        .collect();
-    match name {
-        "convex" => Box::new(ConvexCaching::new(costs.clone())),
-        "lru" => Box::new(Lru::new()),
-        "fifo" => Box::new(Fifo::new()),
-        "lfu" => Box::new(Lfu::new()),
-        "marking" => Box::new(Marking::new()),
-        "lru2" => Box::new(LruK::new(2)),
-        "random" => Box::new(RandomEvict::new(0xC0FFEE)),
-        "greedy-dual" => Box::new(GreedyDual::new(weights)),
-        "cost-greedy" => Box::new(CostGreedy::new(costs.clone())),
-        "belady" => Box::new(Belady::new(trace)),
-        "belady-cost" => Box::new(CostAwareBelady::new(trace, costs.clone())),
-        other => panic!("unknown policy '{other}'"),
-    }
+/// The registry's policies, i.e. everything `occ run --policy …` accepts,
+/// after checking the roster is the eleven that ship.
+fn every_policy() -> &'static [PolicyEntry] {
+    assert_eq!(POLICIES.len(), 11, "the sweep covers eleven policies");
+    POLICIES
 }
 
 /// Drive `trace` through a fresh engine twice — once via the trusting
@@ -57,14 +23,15 @@ fn build(name: &str, trace: &Trace, costs: &CostProfile) -> Box<dyn ReplacementP
 /// paths agree step for step before returning the outcomes and the final
 /// per-user miss vector.
 fn run_both(
-    name: &str,
+    policy: &PolicyEntry,
     universe: &Universe,
     trace: &Trace,
     costs: &CostProfile,
     k: usize,
 ) -> (Vec<StepOutcome>, Vec<u64>) {
-    let mut plain = SteppingEngine::new(k, universe.clone(), build(name, trace, costs));
-    let mut checked = SteppingEngine::new(k, universe.clone(), build(name, trace, costs));
+    let name = policy.name;
+    let mut plain = SteppingEngine::new(k, universe.clone(), policy.build(costs, trace));
+    let mut checked = SteppingEngine::new(k, universe.clone(), policy.build(costs, trace));
     let mut handler = FaultHandler::new(FaultPolicy::FailFast, universe.num_users());
     let mut outcomes = Vec::with_capacity(trace.len());
     for (_, req) in trace.iter() {
@@ -89,8 +56,9 @@ fn empty_trace_is_a_noop_for_every_policy() {
     let trace = Trace::from_page_indices(&universe, &[]);
     let costs = CostProfile::uniform(2, Monomial::power(2.0));
     assert!(trace.is_empty());
-    for name in POLICIES {
-        let (outcomes, misses) = run_both(name, &universe, &trace, &costs, 3);
+    for policy in every_policy() {
+        let name = policy.name;
+        let (outcomes, misses) = run_both(policy, &universe, &trace, &costs, 3);
         assert!(outcomes.is_empty(), "{name}: no requests, no outcomes");
         assert_eq!(misses, vec![0, 0], "{name}: no requests, no misses");
     }
@@ -103,8 +71,9 @@ fn one_page_universe_misses_once_then_always_hits() {
     let universe = Universe::single_user(1);
     let trace = Trace::from_page_indices(&universe, &[0; 8]);
     let costs = CostProfile::uniform(1, Monomial::power(2.0));
-    for name in POLICIES {
-        let (outcomes, misses) = run_both(name, &universe, &trace, &costs, 1);
+    for policy in every_policy() {
+        let name = policy.name;
+        let (outcomes, misses) = run_both(policy, &universe, &trace, &costs, 1);
         assert_eq!(outcomes[0], StepOutcome::Inserted, "{name}");
         assert!(
             outcomes[1..].iter().all(|o| *o == StepOutcome::Hit),
@@ -121,8 +90,9 @@ fn single_repeated_page_hits_even_in_a_crowded_universe() {
     let universe = Universe::uniform(2, 3);
     let trace = Trace::from_page_indices(&universe, &[4; 10]);
     let costs = CostProfile::uniform(2, Monomial::power(2.0));
-    for name in POLICIES {
-        let (outcomes, misses) = run_both(name, &universe, &trace, &costs, 2);
+    for policy in every_policy() {
+        let name = policy.name;
+        let (outcomes, misses) = run_both(policy, &universe, &trace, &costs, 2);
         assert_eq!(outcomes[0], StepOutcome::Inserted, "{name}");
         assert!(
             outcomes[1..].iter().all(|o| *o == StepOutcome::Hit),
@@ -144,8 +114,9 @@ fn capacity_one_cache_leaves_no_eviction_choice() {
     // Distinct pages back to back: everything misses, and from the second
     // request on every fetch evicts the previous page.
     let cycle = Trace::from_page_indices(&universe, &[0, 1, 2, 0, 1, 2]);
-    for name in POLICIES {
-        let (outcomes, misses) = run_both(name, &universe, &cycle, &costs, 1);
+    for policy in every_policy() {
+        let name = policy.name;
+        let (outcomes, misses) = run_both(policy, &universe, &cycle, &costs, 1);
         assert_eq!(misses, vec![6], "{name}: one slot, all distinct ⇒ all miss");
         assert_eq!(outcomes[0], StepOutcome::Inserted, "{name}");
         assert!(
@@ -158,8 +129,9 @@ fn capacity_one_cache_leaves_no_eviction_choice() {
 
     // Paired repeats: the second of each pair hits, the rest miss.
     let pairs = Trace::from_page_indices(&universe, &[0, 0, 1, 1, 2, 2]);
-    for name in POLICIES {
-        let (outcomes, misses) = run_both(name, &universe, &pairs, &costs, 1);
+    for policy in every_policy() {
+        let name = policy.name;
+        let (outcomes, misses) = run_both(policy, &universe, &pairs, &costs, 1);
         assert_eq!(misses, vec![3], "{name}");
         let expect = [
             StepOutcome::Inserted,
@@ -182,8 +154,9 @@ fn single_user_universe_runs_every_policy_clean() {
     let universe = Universe::single_user(4);
     let trace = Trace::from_page_indices(&universe, &[0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3]);
     let costs = CostProfile::uniform(1, Monomial::power(2.0));
-    for name in POLICIES {
-        let (outcomes, misses) = run_both(name, &universe, &trace, &costs, 2);
+    for policy in every_policy() {
+        let name = policy.name;
+        let (outcomes, misses) = run_both(policy, &universe, &trace, &costs, 2);
         assert_eq!(misses.len(), 1, "{name}: one user, one counter");
         let observed: u64 = outcomes
             .iter()

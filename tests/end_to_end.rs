@@ -2,8 +2,9 @@
 //! offline references → theory checks, exercised together the way the
 //! experiment binaries use them.
 
+use occ_analysis::policies::{BoxedPolicy, Build, POLICIES};
 use occ_analysis::{check_theorem_1_1, check_theorem_1_3, compare_policies, evaluate_policy};
-use occ_baselines::{standard_suite, Lru};
+use occ_baselines::Lru;
 use occ_core::{ConvexCaching, CostProfile, Monomial};
 use occ_offline::{batch_offline, belady_miss_vector, best_offline_heuristic};
 use occ_sim::{ReplacementPolicy, Simulator};
@@ -87,11 +88,24 @@ fn cost_awareness_beats_cost_blind_on_two_tier() {
     );
 }
 
+/// The eight online baselines: every online registry entry but the
+/// paper's algorithm.
+fn baselines(costs: &CostProfile) -> Vec<BoxedPolicy> {
+    POLICIES
+        .iter()
+        .filter(|e| e.name != "convex")
+        .filter_map(|e| match e.build {
+            Build::Online(make) => Some(make(costs)),
+            Build::Offline(_) => None,
+        })
+        .collect()
+}
+
 #[test]
 fn every_scenario_runs_the_full_suite() {
     for s in all_scenarios() {
         let trace = s.trace(5_000, 3);
-        let mut suite = standard_suite(&s.costs);
+        let mut suite = baselines(&s.costs);
         let reports = compare_policies(&mut suite, &trace, s.suggested_k, &s.costs);
         assert_eq!(reports.len(), 8);
         for r in &reports {
@@ -128,7 +142,7 @@ fn offline_heuristic_never_beats_online_impossibly() {
 fn policies_are_deterministic_across_runs() {
     let s = two_tier();
     let trace = s.trace(4_000, 13);
-    for mut policy in standard_suite(&s.costs) {
+    for mut policy in baselines(&s.costs) {
         let a = {
             policy.reset();
             Simulator::new(16).run(&mut policy, &trace).miss_vector()
