@@ -6,27 +6,27 @@ use occ_analysis::policies::{self, BoxedPolicy, Build, MakeOnline};
 use occ_analysis::{compare_policies, evaluate_policy, fnum, lru_cost_curve, lru_mrc, Table};
 use occ_core::{ConvexCaching, CostProfile};
 use occ_fleet::{
-    run_fleet, run_shared_fleet, run_supervised_fleet, BackoffPolicy, DirPersist, FleetConfig,
-    NoPersist, ShardKill, ShardPersist, SharedConfig, SharedError, StoreFault, SupervisorConfig,
+    run_fleet, run_shared_fleet, run_supervised_fleet, BackoffPolicy, DirPersist, FilePersist,
+    FleetConfig, NoPersist, ShardKill, ShardPersist, SharedConfig, SharedError, StoreFault,
+    SupervisorConfig, WindowDriver,
 };
 use occ_probe::{
     require_trailer, snapshot_from_json, write_atomic, write_checkpoint_file, AtomicWriter,
     DualPoint, DualTrace, Json, JsonlSink, MetricsRecorder, ObserveReport, SeriesFile, SeriesSink,
-    WindowDelta, WindowedRecorder,
 };
 use occ_sim::concurrent::{replay_schedule, CommitSchedule, ReplayError, ReplayOutcome};
 use occ_sim::{
     read_trace_auto, write_trace, write_trace_binary, write_trace_binary_v2, Binary2TraceWriter,
     BinarySource, BinaryTraceWriter, EngineSnapshot, FaultCounters, FaultHandler, FaultPolicy,
-    PageId, ReplacementPolicy, Request, RequestSource, SimStats, SteppingEngine, Time, Trace,
-    TraceIoError, Universe, UserId, BINARY2_TRACE_MAGIC, BINARY_TRACE_MAGIC,
+    PageId, ReplacementPolicy, Request, RequestSource, SeekableSource, SimStats, SteppingEngine,
+    Time, Trace, TraceIoError, Universe, UserId, BINARY2_TRACE_MAGIC, BINARY_TRACE_MAGIC,
 };
 use occ_workloads::{
     all_scenarios, ChaosSource, CsvAdapter, CsvFlavor, FaultPlan, Scenario, TenantMixSource,
 };
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// Top-level usage text.
@@ -92,11 +92,15 @@ USAGE:
                memory mapping where the platform allows, buffered
                otherwise), occbin02, or a real-trace CSV (msr/twitter
                shapes, tenants hashed into the scenario's user count;
-               [--csv-flavor auto|msr|twitter]); --from resumes a killed
-               soak from its checkpoint, continuing the series
-               byte-identically (checkpoints land on window boundaries;
-               pass the same --scenario and --seed — the checkpoint
-               carries engine state, not the workload stream).
+               [--csv-flavor auto|msr|twitter]). --checkpoint-every
+               (default: every window, rounded up to a window multiple)
+               needs --checkpoint. --from resumes a killed soak from its
+               checkpoint, continuing the series byte-identically
+               (checkpoints land on window boundaries; pass the same
+               --scenario and --seed — the checkpoint carries engine
+               state, not the workload stream); a checkpoint past the
+               end of the stream exits 2. Soak is one attempt of the
+               windowed shard driver a supervised fleet restarts.
                --timing on adds wall-clock latency histograms per window
                (not byte-reproducible). A stderr heartbeat reports req/s,
                ETA and RSS about once a second. Checkpoints and finished
@@ -137,9 +141,10 @@ USAGE:
                --checkpoint-dir persists per-shard checkpoints + series
                (shard-NNNN.ckpt.json / .series.jsonl); --from-dir
                resumes a killed fleet from such a directory (corrupt
-               checkpoints exit 4). --series-out writes the merged
-               window series (atomic rename + CRC trailer) — recovered
-               runs produce it byte-identical to uninterrupted ones.
+               checkpoints exit 4, ones past --len exit 2). --series-out
+               writes the merged window series (atomic rename + CRC
+               trailer) — recovered runs produce it byte-identical to
+               uninterrupted ones.
                --chaos-shard-kill panics shard S at request T;
                --chaos-store-fail fails shard S's Nth checkpoint save
                (both seeded, deterministic, counts accept k/M/B).
@@ -150,12 +155,12 @@ USAGE:
                [--schedule-out FILE]
                [--chaos-page-rate P] [--chaos-owner-rate P]
                [--chaos-truncate N] [--chaos-seed S] [--degrade POLICY]
-               run M worker threads against ONE shared k-sized cache
-               (lock-striped over S page-table segments), each thread
-               streaming N scenario requests with a per-thread seed
-               (or, with --trace, each thread replaying the same trace
-               file — occbin01/occbin02/CSV; chaos flags need the
-               synthetic stream).
+               run M worker threads (at most 1024) against ONE shared
+               k-sized cache (lock-striped over S page-table segments),
+               each thread streaming N scenario requests with a
+               per-thread seed (or, with --trace, each thread replaying
+               the same trace file — occbin01/occbin02/CSV; chaos flags
+               need the synthetic stream).
                Every commit is recorded as (seq, thread, shard, page,
                user, outcome); --verify on (the default) replays the
                schedule single-threaded through the stock engine and
@@ -375,24 +380,50 @@ fn csv_flavor_from_args(args: &Args) -> Result<Option<CsvFlavor>, CliError> {
     }
 }
 
-/// A streaming `--trace FILE` feed: one of the binary formats
-/// ([`BinarySource`] picks mmap / buffered / packed by sniffing the
-/// magic) or a real-trace CSV adapted on the fly. Holds O(1) heap
-/// regardless of trace length (the mmap path's pages are file-backed).
-enum FileFeed {
+/// The streaming workload of a command that never materializes a trace
+/// (`soak`, `fleet`, `concurrent`): the scenario's mixer, or a `--trace
+/// FILE` in one of the binary formats ([`BinarySource`] picks mmap /
+/// buffered / packed by sniffing the magic) or a real-trace CSV adapted
+/// on the fly. Holds O(1) heap regardless of stream length (the mmap
+/// path's pages are file-backed).
+enum Feed {
+    Mix(TenantMixSource),
     Bin(Box<BinarySource>),
     Csv(Box<CsvAdapter>),
 }
 
-impl FileFeed {
+impl Feed {
+    /// Open the feed the flags ask for: `--trace FILE` if given (its
+    /// tenant structure checked against the scenario's cost profile),
+    /// else `len` requests of the scenario's mixer seeded with `seed`.
+    fn open(args: &Args, scenario: &Scenario, len: u64, seed: u64) -> Result<Feed, CliError> {
+        let path = args.str_or("trace", "");
+        if path.is_empty() {
+            return Ok(Feed::Mix(scenario.stream(len, seed)));
+        }
+        let flavor = csv_flavor_from_args(args)?;
+        let feed = Feed::open_file(&path, flavor, Some(scenario.costs.num_users()))?;
+        // CSV tenants are hashed into the scenario's user count, so only
+        // the binary formats can disagree.
+        let users = RequestSource::universe(&feed).num_users();
+        if users != scenario.costs.num_users() {
+            return Err(CliError::Usage(format!(
+                "trace has {users} users but scenario '{}' defines costs for {}",
+                scenario.name,
+                scenario.costs.num_users()
+            )));
+        }
+        Ok(feed)
+    }
+
     /// Sniff the leading bytes and open the right reader: binary magic
     /// goes to [`BinarySource`], anything else to the CSV adapter
     /// (whose own sniffer rejects files that are neither).
-    fn open(
+    fn open_file(
         path: &str,
         flavor: Option<CsvFlavor>,
         tenants: Option<u32>,
-    ) -> Result<FileFeed, CliError> {
+    ) -> Result<Feed, CliError> {
         use std::io::Read as _;
         // A pipe can only be read once: the probing open below would
         // consume the magic bytes, so hand non-regular files straight
@@ -404,7 +435,7 @@ impl FileFeed {
             .unwrap_or(false);
         if !regular {
             let src = BinarySource::open(Path::new(path)).map_err(|e| feed_err(path, e))?;
-            return Ok(FileFeed::Bin(Box::new(src)));
+            return Ok(Feed::Bin(Box::new(src)));
         }
         let mut probe = [0u8; 8];
         let mut got = 0;
@@ -422,86 +453,87 @@ impl FileFeed {
         let head = &probe[..got];
         if head == BINARY_TRACE_MAGIC || head == BINARY2_TRACE_MAGIC {
             let src = BinarySource::open(Path::new(path)).map_err(|e| feed_err(path, e))?;
-            Ok(FileFeed::Bin(Box::new(src)))
+            Ok(Feed::Bin(Box::new(src)))
         } else {
             let csv = CsvAdapter::open(Path::new(path), flavor, tenants)
                 .map_err(|e| feed_err(path, e))?;
-            Ok(FileFeed::Csv(Box::new(csv)))
+            Ok(Feed::Csv(Box::new(csv)))
         }
     }
 
+    /// Requests the stream holds before any is served: the trace's
+    /// count, or the mixer's length.
     fn total_requests(&self) -> u64 {
         match self {
-            FileFeed::Bin(b) => b.total_requests(),
-            FileFeed::Csv(c) => c.total_requests(),
+            Feed::Mix(m) => m.remaining(),
+            Feed::Bin(b) => b.total_requests(),
+            Feed::Csv(c) => c.total_requests(),
         }
     }
 
-    /// How the feed serves requests, for logs and reports.
-    fn strategy(&self) -> &'static str {
+    /// How a trace feed serves requests, for logs and reports; `None`
+    /// for the mixer.
+    fn strategy(&self) -> Option<&'static str> {
         match self {
-            FileFeed::Bin(b) => b.strategy(),
-            FileFeed::Csv(c) => match c.flavor() {
+            Feed::Mix(_) => None,
+            Feed::Bin(b) => Some(b.strategy()),
+            Feed::Csv(c) => Some(match c.flavor() {
                 CsvFlavor::Msr => "csv-msr",
                 CsvFlavor::Twitter => "csv-twitter",
-            },
+            }),
         }
     }
 
+    /// The error that ended a trace feed early, if any.
     fn error(&self) -> Option<&TraceIoError> {
         match self {
-            FileFeed::Bin(b) => b.error(),
-            FileFeed::Csv(c) => c.error(),
+            Feed::Mix(_) => None,
+            Feed::Bin(b) => b.error(),
+            Feed::Csv(c) => c.error(),
         }
     }
 }
 
-impl RequestSource for FileFeed {
+impl RequestSource for Feed {
     fn universe(&self) -> &Universe {
         match self {
-            FileFeed::Bin(b) => RequestSource::universe(b.as_ref()),
-            FileFeed::Csv(c) => RequestSource::universe(c.as_ref()),
+            Feed::Mix(m) => m.universe(),
+            Feed::Bin(b) => RequestSource::universe(b.as_ref()),
+            Feed::Csv(c) => RequestSource::universe(c.as_ref()),
         }
     }
 
     fn next_request(&mut self, ctx: &occ_sim::EngineCtx) -> Option<Request> {
         match self {
-            FileFeed::Bin(b) => b.next_request(ctx),
-            FileFeed::Csv(c) => c.next_request(ctx),
+            Feed::Mix(m) => m.next_request(ctx),
+            Feed::Bin(b) => b.next_request(ctx),
+            Feed::Csv(c) => c.next_request(ctx),
         }
     }
 
     fn next_run(&mut self, max: usize) -> Option<&[Request]> {
         match self {
-            FileFeed::Bin(b) => b.next_run(max),
-            FileFeed::Csv(_) => None,
+            Feed::Bin(b) => b.next_run(max),
+            Feed::Mix(_) | Feed::Csv(_) => None,
         }
     }
 
     fn next_page_run(&mut self, max: usize) -> Option<&[PageId]> {
         match self {
-            FileFeed::Bin(b) => b.next_page_run(max),
-            FileFeed::Csv(_) => None,
+            Feed::Bin(b) => b.next_page_run(max),
+            Feed::Mix(_) | Feed::Csv(_) => None,
         }
     }
 }
 
-/// Open a `--trace` feed for a scenario-driven command, enforcing that
-/// the trace's tenant structure matches the scenario's cost profile.
-/// CSV tenants are hashed into the scenario's user count, so only the
-/// binary formats can disagree.
-fn open_trace_feed(args: &Args, path: &str, scenario: &Scenario) -> Result<FileFeed, CliError> {
-    let flavor = csv_flavor_from_args(args)?;
-    let feed = FileFeed::open(path, flavor, Some(scenario.costs.num_users()))?;
-    let users = RequestSource::universe(&feed).num_users();
-    if users != scenario.costs.num_users() {
-        return Err(CliError::Usage(format!(
-            "trace has {users} users but scenario '{}' defines costs for {}",
-            scenario.name,
-            scenario.costs.num_users()
-        )));
+impl SeekableSource for Feed {
+    fn seek_forward(&mut self, n: u64) {
+        match self {
+            Feed::Mix(m) => m.seek_forward(n),
+            Feed::Bin(b) => b.seek_forward(n),
+            Feed::Csv(c) => c.seek_forward(n),
+        }
     }
-    Ok(feed)
 }
 
 /// `occ trace` — pack / unpack / import.
@@ -528,7 +560,7 @@ fn trace_transcode(args: &Args, pack: bool) -> Result<(), CliError> {
     let out_path = uarg(args.str_required("out"))?;
     let limit = uarg(args.scaled_or("limit", 0))?;
 
-    let mut feed = match FileFeed::open(&in_path, None, None) {
+    let mut feed = match Feed::open_file(&in_path, None, None) {
         Ok(f) => f,
         Err(CliError::Parse(_)) => {
             // Not binary and not CSV — maybe the v1 text format. Parse
@@ -576,7 +608,7 @@ fn trace_transcode(args: &Args, pack: bool) -> Result<(), CliError> {
 /// Pull up to `keep` requests out of `feed` in runs and hand each to
 /// `push`. Chunked by the feed's own serving granularity.
 fn copy_requests(
-    feed: &mut FileFeed,
+    feed: &mut Feed,
     keep: u64,
     served: &mut u64,
     mut push: impl FnMut(Request) -> Result<(), TraceIoError>,
@@ -618,8 +650,8 @@ fn copy_requests(
         }
         // CSV feeds serve per-request.
         let Some(req) = (match feed {
-            FileFeed::Csv(c) => c.pull(),
-            FileFeed::Bin(_) => None,
+            Feed::Csv(c) => c.pull(),
+            Feed::Mix(_) | Feed::Bin(_) => None,
         }) else {
             break;
         };
@@ -904,7 +936,7 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
                 }
                 let snap = read_checkpoint(&path)?;
                 let label = path.display().to_string();
-                snapshot_k(args, &snap, &label, owners, window, true, k)?;
+                snapshot_k(args, &snap, &label, owners, len, window, true, k)?;
                 *slot = snap.time / window;
                 resume.push(Some(snap));
             }
@@ -966,30 +998,21 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
         if window > 0 {
             cfg.window = Some(window);
         }
-        if trace_path.is_empty() {
-            // Each shard is its own server: same scenario, decorrelated
-            // seed.
-            let sources: Vec<_> = (0..shards)
-                .map(|i| scenario.stream(len, shard_seed(i)))
-                .collect();
-            run_fleet(sources, &cfg, |_| make_policy(costs))
-        } else {
-            // Every shard replays the same trace file through its own
-            // feed; occbin01 shards each map the file (the kernel
-            // shares the cached pages) and serve zero-copy runs.
-            let sources = (0..shards)
-                .map(|_| open_trace_feed(args, &trace_path, &scenario))
-                .collect::<Result<Vec<_>, _>>()?;
-            if let Some(f) = sources.first() {
-                eprintln!(
-                    "fleet: replaying {trace_path} ({} requests) on every shard \
-                     via the {} path",
-                    f.total_requests(),
-                    f.strategy()
-                );
-            }
-            run_fleet(sources, &cfg, |_| make_policy(costs))
+        // Each shard is its own server: the same scenario with a
+        // decorrelated seed, or the same trace file through its own feed
+        // (occbin01 shards each map the file, the kernel shares the
+        // cached pages, and serve zero-copy runs).
+        let sources = (0..shards)
+            .map(|i| Feed::open(args, &scenario, len, shard_seed(i)))
+            .collect::<Result<Vec<_>, _>>()?;
+        if let Some(strategy) = sources[0].strategy() {
+            eprintln!(
+                "fleet: replaying {trace_path} ({} requests) on every shard \
+                 via the {strategy} path",
+                sources[0].total_requests(),
+            );
         }
+        run_fleet(sources, &cfg, |_| make_policy(costs))
     };
 
     let json = report.to_json_value();
@@ -1065,6 +1088,11 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
     }
     Ok(())
 }
+
+/// Most worker threads `occ concurrent` starts. Each is an OS thread;
+/// without a bound one flag could exhaust the pid limit, and the shared
+/// engine panics when the OS refuses a thread.
+const MAX_THREADS: usize = 1024;
 
 /// First line of a `--schedule-out` file. The header carries everything
 /// `--replay` needs to rebuild the engine, so a schedule file is
@@ -1177,10 +1205,10 @@ pub fn concurrent(args: &Args) -> Result<(), CliError> {
 
     let scenario = find_scenario(&uarg(args.str_required("scenario"))?)?;
     let threads: usize = uarg(args.num_or("threads", 4usize))?;
-    if threads == 0 {
-        return Err(CliError::Usage(
-            "a concurrent run needs at least one worker thread".into(),
-        ));
+    if !(1..=MAX_THREADS).contains(&threads) {
+        return Err(CliError::Usage(format!(
+            "--threads must be in 1..={MAX_THREADS}: every worker is an OS thread"
+        )));
     }
     let table_shards: usize = uarg(args.num_or("table-shards", 8usize))?;
     if table_shards == 0 {
@@ -1225,22 +1253,8 @@ pub fn concurrent(args: &Args) -> Result<(), CliError> {
                 .into(),
         ));
     }
-    let universe = scenario.stream(1, 0).universe().clone();
-    let result = if !trace_path.is_empty() {
-        // Every worker thread replays the same trace file through its
-        // own feed (occbin01 threads share the kernel's cached pages).
-        let mut sources = (0..threads)
-            .map(|_| open_trace_feed(args, &trace_path, &scenario))
-            .collect::<Result<Vec<_>, _>>()?;
-        let universe = RequestSource::universe(&sources[0]).clone();
-        eprintln!(
-            "concurrent: replaying {trace_path} ({} requests) on every thread \
-             via the {} path",
-            sources[0].total_requests(),
-            sources[0].strategy()
-        );
-        run_shared_fleet(universe, &cfg, &mut sources, |_| make_policy(costs))
-    } else if chaos_active {
+    let result = if chaos_active {
+        let universe = scenario.stream(1, 0).universe().clone();
         let mut sources: Vec<_> = (0..threads)
             .map(|t| {
                 let plan = FaultPlan {
@@ -1252,9 +1266,20 @@ pub fn concurrent(args: &Args) -> Result<(), CliError> {
             .collect();
         run_shared_fleet(universe, &cfg, &mut sources, |_| make_policy(costs))
     } else {
-        let mut sources: Vec<_> = (0..threads)
-            .map(|t| scenario.stream(len, thread_seed(t)))
-            .collect();
+        // Each worker thread streams the scenario with its own seed, or
+        // replays the same trace file through its own feed (occbin01
+        // threads share the kernel's cached pages).
+        let mut sources = (0..threads)
+            .map(|t| Feed::open(args, &scenario, len, thread_seed(t)))
+            .collect::<Result<Vec<_>, _>>()?;
+        if let Some(strategy) = sources[0].strategy() {
+            eprintln!(
+                "concurrent: replaying {trace_path} ({} requests) on every thread \
+                 via the {strategy} path",
+                sources[0].total_requests(),
+            );
+        }
+        let universe = RequestSource::universe(&sources[0]).clone();
         run_shared_fleet(universe, &cfg, &mut sources, |_| make_policy(costs))
     };
     let report = result.map_err(|e| match e {
@@ -1506,15 +1531,6 @@ where
     R: occ_sim::Recorder,
     F: FnMut(Time, &P, bool),
 {
-    let records = opts.records;
-    let start = eng.time() as usize;
-    if start > records.len() {
-        return Err(CliError::Usage(format!(
-            "checkpoint is at t={start} but the stream has only {} records \
-             (did the trace or chaos flags change?)",
-            records.len()
-        )));
-    }
     let num_users = eng.ctx().universe.num_users();
     let mut handler = match opts.degrade {
         None => None,
@@ -1538,7 +1554,7 @@ where
         };
         write_checkpoint(opts.checkpoint_path, &snap)
     };
-    for r in &records[start..] {
+    for r in &opts.records[eng.time() as usize..] {
         sample(eng.time(), eng.policy(), false);
         match &mut handler {
             None => {
@@ -1689,15 +1705,17 @@ fn build_report(
 }
 
 /// Check that checkpoint `snap` (`label` in errors) can continue a run
-/// over a stream with page `owners` that closes a window every `window`
-/// requests (0: no windows) and, if `degraded_ok`, restores fault state.
-/// Returns the cache size: the snapshot's capacity, which `--k` (default
-/// `default_k`) must match.
+/// over a stream of `len` requests with page `owners` that closes a
+/// window every `window` requests (0: no windows) and, if `degraded_ok`,
+/// restores fault state. Returns the cache size: the snapshot's
+/// capacity, which `--k` (default `default_k`) must match.
+#[allow(clippy::too_many_arguments)]
 fn snapshot_k(
     args: &Args,
     snap: &EngineSnapshot,
     label: &str,
     owners: &[UserId],
+    len: u64,
     window: u64,
     degraded_ok: bool,
     default_k: usize,
@@ -1709,6 +1727,12 @@ fn snapshot_k(
              original --scenario/--len/--seed (or --trace)",
             snap.owners.len(),
             snap.num_users
+        )
+    } else if snap.time > len {
+        format!(
+            "t={} is past the end of the stream ({len} requests); did --len, the \
+             trace or the chaos flags change?",
+            snap.time
         )
     } else if window > 0 && !snap.time.is_multiple_of(window) {
         format!("t={} is mid-window for --window {window}", snap.time)
@@ -1759,7 +1783,10 @@ fn observe_run(args: &Args, snap: Option<EngineSnapshot>) -> Result<(), CliError
     let degrade = degrade_from_args(args, chaos_active)?;
     let (owners, resumable) = (trace.universe().owners(), degrade.is_some());
     let k = match &snap {
-        Some(s) => snapshot_k(args, s, "checkpoint", owners, 0, resumable, s.capacity)?,
+        Some(s) => {
+            let len = records.len() as u64;
+            snapshot_k(args, s, "checkpoint", owners, len, 0, resumable, s.capacity)?
+        }
         None => k_arg(args, "k", scenario.suggested_k)?,
     };
     let opts = DriveOpts {
@@ -1822,84 +1849,6 @@ fn observe_run(args: &Args, snap: Option<EngineSnapshot>) -> Result<(), CliError
     Ok(())
 }
 
-/// Streaming request feed for `occ soak`: a synthetic scenario mix or a
-/// trace file (binary occbin01/occbin02 — mmap-served where possible —
-/// or a real-trace CSV). All hold O(1) heap regardless of run length —
-/// soak never materializes a trace.
-enum SoakSource {
-    Mix(TenantMixSource),
-    File(FileFeed),
-}
-
-impl RequestSource for SoakSource {
-    fn universe(&self) -> &Universe {
-        match self {
-            SoakSource::Mix(m) => m.universe(),
-            SoakSource::File(f) => RequestSource::universe(f),
-        }
-    }
-
-    fn next_request(&mut self, ctx: &occ_sim::EngineCtx) -> Option<Request> {
-        match self {
-            SoakSource::Mix(m) => m.next_request(ctx),
-            SoakSource::File(f) => f.next_request(ctx),
-        }
-    }
-
-    fn next_run(&mut self, max: usize) -> Option<&[Request]> {
-        match self {
-            SoakSource::Mix(_) => None,
-            SoakSource::File(f) => f.next_run(max),
-        }
-    }
-
-    fn next_page_run(&mut self, max: usize) -> Option<&[PageId]> {
-        match self {
-            SoakSource::Mix(_) => None,
-            SoakSource::File(f) => f.next_page_run(max),
-        }
-    }
-}
-
-/// Everything `run_soak` needs beyond the engine inputs.
-struct SoakOpts<'a> {
-    /// Tumbling-window width in requests.
-    window: u64,
-    /// JSONL series destination (empty = no series file).
-    series_path: &'a str,
-    /// Header metadata for the series file.
-    meta: &'a [(&'a str, Json)],
-    /// Checkpoint cadence in requests, already rounded to a window
-    /// multiple (0 = off).
-    checkpoint_every: u64,
-    /// Checkpoint destination (empty = off).
-    checkpoint_path: &'a str,
-    /// Print progress to stderr roughly once a second.
-    heartbeat: bool,
-    /// Total requests the run aims for (resume included), for ETA.
-    target: u64,
-}
-
-impl SoakOpts<'_> {
-    fn checkpoints_on(&self) -> bool {
-        self.checkpoint_every > 0 && !self.checkpoint_path.is_empty()
-    }
-}
-
-/// Outcome of a soak drive, for the final summary tables.
-struct SoakSummary {
-    stats: SimStats,
-    /// Counters restored from the checkpoint (all zero on a fresh run);
-    /// the window totals cover only `stats - base`.
-    base: SimStats,
-    served: u64,
-    policy: String,
-    windows: u64,
-    series_lines: u64,
-    elapsed: std::time::Duration,
-    end_t: Time,
-}
-
 /// Pull one `kB`-valued field out of a `/proc/self/status` dump. Every
 /// step is fallible — the line can be absent (restricted /proc,
 /// non-Linux emulation layers) or malformed — and each failure is a
@@ -1946,221 +1895,8 @@ fn rss_sample() -> Option<RssSample> {
     })
 }
 
-/// Check that the window-delta totals match the engine's own counters
-/// exactly — the windows tile the run, so any drift is a bug.
-fn check_window_totals(
-    total: &WindowDelta,
-    stats: &SimStats,
-    base: &SimStats,
-) -> Result<(), String> {
-    let d_hits = stats.total_hits() - base.total_hits();
-    let d_misses = stats.total_misses() - base.total_misses();
-    let d_evictions = stats.total_evictions() - base.total_evictions();
-    if total.hits != d_hits || total.misses() != d_misses || total.evictions != d_evictions {
-        return Err(format!(
-            "window sums (hits {}, misses {}, evictions {}) != engine totals \
-             (hits {d_hits}, misses {d_misses}, evictions {d_evictions})",
-            total.hits,
-            total.misses(),
-            total.evictions
-        ));
-    }
-    let at = |v: &[u64], u: usize| v.get(u).copied().unwrap_or(0);
-    for (u, us) in stats.per_user().iter().enumerate() {
-        let b = base.per_user().get(u).copied().unwrap_or_default();
-        if at(&total.hits_by_user, u) != us.hits - b.hits
-            || at(&total.misses_by_user, u) != us.misses - b.misses
-            || at(&total.evictions_by_user, u) != us.evictions - b.evictions
-        {
-            return Err(format!("per-tenant window sums diverged for tenant {u}"));
-        }
-    }
-    Ok(())
-}
-
-/// Drive a soak run: step the source to exhaustion, close a window every
-/// `opts.window` requests (sampling the dual state via `probe` at each
-/// boundary), stream closed windows to the series sink, checkpoint at
-/// aligned multiples, and verify at the end that the window deltas sum
-/// exactly to the engine's own totals.
-fn run_soak<P, const TIMED: bool>(
-    k: usize,
-    snap: Option<&EngineSnapshot>,
-    policy: P,
-    source: &mut SoakSource,
-    opts: &SoakOpts,
-    probe: &mut dyn FnMut(&P) -> Option<DualPoint>,
-) -> Result<SoakSummary, CliError>
-where
-    P: ReplacementPolicy,
-{
-    let eng = match snap {
-        Some(s) => SteppingEngine::from_snapshot(s, policy)?,
-        None => SteppingEngine::new(k, source.universe().clone(), policy),
-    };
-    let start_t = eng.time();
-    let mut eng = eng.with_recorder(
-        WindowedRecorder::<TIMED>::starting_at(opts.window, start_t).with_ring_capacity(64),
-    );
-    let base = eng.stats().clone();
-
-    // Fast-forward the source to the checkpoint's position so the
-    // resumed stream continues exactly where the interrupted one left
-    // off. The synthetic mixer skips without building requests; the
-    // trace reader has to decode (and discard) the prefix.
-    match source {
-        SoakSource::Mix(m) => m.skip(start_t),
-        SoakSource::File(_) => {
-            for i in 0..start_t {
-                let next = {
-                    let ctx = eng.ctx();
-                    source.next_request(&ctx)
-                };
-                if next.is_none() {
-                    return Err(CliError::Usage(format!(
-                        "checkpoint is at t={start_t} but the trace ended after {i} requests \
-                         (is this the right trace?)"
-                    )));
-                }
-            }
-        }
-    }
-
-    // The series streams through the atomic writer: a killed soak
-    // leaves `<path>.tmp` behind, and readers never see a torn or
-    // trailer-less final series.
-    let mut sink = if opts.series_path.is_empty() {
-        None
-    } else {
-        let w = AtomicWriter::create(Path::new(opts.series_path))
-            .map_err(|e| CliError::Io(format!("create {}: {e}", opts.series_path)))?;
-        let mut s = SeriesSink::new(w);
-        s.write_header(opts.window, opts.meta);
-        Some(s)
-    };
-
-    let started = Instant::now();
-    let mut last_beat = started;
-    let mut total = WindowDelta::default();
-    let mut windows = 0u64;
-    let mut served = 0u64;
-    loop {
-        // Serve in batches clamped to the next window boundary, so the
-        // boundary work below still happens at exact multiples of the
-        // window width.
-        let to_boundary = opts.window - (eng.time() % opts.window);
-        let max = to_boundary.min(occ_sim::DEFAULT_BATCH_SIZE as u64) as usize;
-        let stepped = eng.serve_from(source, max) as u64;
-        if stepped == 0 {
-            break;
-        }
-        served += stepped;
-        let t = eng.time();
-        if !t.is_multiple_of(opts.window) {
-            continue;
-        }
-        // Window boundary: attach the dual point to the window that is
-        // about to close, roll, and drain it to the sink.
-        if let Some(point) = probe(eng.policy()) {
-            eng.recorder_mut().note_dual(point);
-        }
-        eng.recorder_mut().roll_to(t);
-        for w in eng.recorder_mut().drain_new() {
-            total.merge_from(&w);
-            windows += 1;
-            if let Some(s) = &mut sink {
-                s.write_window(&w);
-            }
-        }
-        if opts.checkpoints_on() && t.is_multiple_of(opts.checkpoint_every) {
-            write_checkpoint(opts.checkpoint_path, &eng.snapshot()?)?;
-        }
-        if opts.heartbeat {
-            let now = Instant::now();
-            if now.duration_since(last_beat).as_secs_f64() >= 1.0 {
-                last_beat = now;
-                let rate = served as f64 / started.elapsed().as_secs_f64();
-                let eta = if opts.target > t && rate > 0.0 {
-                    format!("{:.0}s", (opts.target - t) as f64 / rate)
-                } else {
-                    "-".into()
-                };
-                let rss = match rss_sample() {
-                    // Report anon separately: the mmap ingestion path
-                    // legitimately pins file-backed pages into RSS.
-                    Some(RssSample {
-                        total,
-                        anon: Some(anon),
-                    }) => format!("{} MB (anon {} MB)", total / (1 << 20), anon / (1 << 20)),
-                    Some(RssSample { total, anon: None }) => {
-                        format!("{} MB", total / (1 << 20))
-                    }
-                    None => "n/a".into(),
-                };
-                eprintln!(
-                    "soak: {t}/{} requests · {} req/s · ETA {eta} · RSS {rss}",
-                    opts.target,
-                    fnum(rate)
-                );
-            }
-        }
-    }
-    let end_t = eng.time();
-    if !end_t.is_multiple_of(opts.window) {
-        if let Some(point) = probe(eng.policy()) {
-            eng.recorder_mut().note_dual(point);
-        }
-    }
-    eng.recorder_mut().finalize(end_t);
-    for w in eng.recorder_mut().drain_new() {
-        total.merge_from(&w);
-        windows += 1;
-        if let Some(s) = &mut sink {
-            s.write_window(&w);
-        }
-    }
-    if opts.checkpoints_on() {
-        write_checkpoint(opts.checkpoint_path, &eng.snapshot()?)?;
-    }
-
-    // A trace that failed mid-stream parked its error and ended the
-    // stream early; surface it instead of reporting a short run.
-    if let SoakSource::File(f) = source {
-        if let Some(e) = f.error() {
-            return Err(match e {
-                TraceIoError::Io(io) => CliError::Io(format!("reading trace: {io}")),
-                TraceIoError::Parse(m) => CliError::Parse(format!("trace parse error: {m}")),
-            });
-        }
-    }
-    // Sticky sink errors surface here (exit 3) rather than silently
-    // dropping the tail of the series.
-    let series_lines = match sink {
-        None => 0,
-        Some(s) => {
-            let lines = s.lines();
-            s.finish()
-                .and_then(AtomicWriter::commit)
-                .map_err(|e| CliError::Io(format!("writing {}: {e}", opts.series_path)))?;
-            lines
-        }
-    };
-
-    let stats = eng.stats().clone();
-    check_window_totals(&total, &stats, &base).map_err(CliError::Other)?;
-    Ok(SoakSummary {
-        stats,
-        base,
-        served,
-        policy: eng.policy().name(),
-        windows,
-        series_lines,
-        elapsed: started.elapsed(),
-        end_t,
-    })
-}
-
-/// `occ soak`
+/// `occ soak`: a single attempt of the windowed shard driver, with no
+/// restarts.
 pub fn soak(args: &Args) -> Result<(), CliError> {
     let scenario = find_scenario(&uarg(args.str_required("scenario"))?)?;
     let len = uarg(args.scaled_or("len", 10_000_000))?;
@@ -2193,6 +1929,11 @@ pub fn soak(args: &Args) -> Result<(), CliError> {
     };
     let checkpoint_path = args.str_or("checkpoint", "");
     let mut checkpoint_every = uarg(args.scaled_or("checkpoint-every", 0))?;
+    if checkpoint_path.is_empty() && checkpoint_every > 0 {
+        return Err(CliError::Usage(
+            "--checkpoint-every needs --checkpoint FILE to write to".into(),
+        ));
+    }
     if !checkpoint_path.is_empty() && checkpoint_every == 0 {
         checkpoint_every = window;
     }
@@ -2209,24 +1950,14 @@ pub fn soak(args: &Args) -> Result<(), CliError> {
         checkpoint_every = rounded;
     }
 
-    // Source: the scenario's streaming mixer, or a trace file
-    // (occbin01/occbin02/CSV — `open_trace_feed` sniffs and checks the
-    // tenant structure against the scenario).
-    let trace_path = args.str_or("trace", "");
-    let mut source = if trace_path.is_empty() {
-        SoakSource::Mix(scenario.stream(len, seed))
-    } else {
-        let feed = open_trace_feed(args, &trace_path, &scenario)?;
+    let mut source = Feed::open(args, &scenario, len, seed)?;
+    if let Some(strategy) = source.strategy() {
         eprintln!(
-            "soak: streaming {trace_path} via the {} path",
-            feed.strategy()
+            "soak: streaming {} via the {strategy} path",
+            args.str_or("trace", "")
         );
-        SoakSource::File(feed)
-    };
-    let target = match &source {
-        SoakSource::Mix(_) => len,
-        SoakSource::File(f) => f.total_requests(),
-    };
+    }
+    let target = source.total_requests();
 
     // Resume from a checkpoint written by an earlier soak.
     let from = args.str_or("from", "");
@@ -2237,12 +1968,21 @@ pub fn soak(args: &Args) -> Result<(), CliError> {
     };
     let owners = source.universe().owners();
     let k = match &snap {
-        Some(s) => snapshot_k(args, s, "checkpoint", owners, window, false, s.capacity)?,
+        Some(s) => snapshot_k(
+            args,
+            s,
+            "checkpoint",
+            owners,
+            target,
+            window,
+            false,
+            s.capacity,
+        )?,
         None => k_arg(args, "k", scenario.suggested_k)?,
     };
-    let start_t = snap.as_ref().map(|s| s.time).unwrap_or(0);
+    let start_t = snap.as_ref().map_or(0, |s| s.time);
 
-    let meta = [
+    let meta = vec![
         ("scenario", Json::Str(scenario.name.to_string())),
         ("policy", Json::Str(policy_name.into())),
         ("k", Json::from_u64(k as u64)),
@@ -2250,19 +1990,43 @@ pub fn soak(args: &Args) -> Result<(), CliError> {
         ("len", Json::from_u64(target)),
         ("start", Json::from_u64(start_t)),
     ];
-    let opts = SoakOpts {
-        window,
-        series_path: &series_path,
-        meta: &meta,
-        checkpoint_every,
-        checkpoint_path: &checkpoint_path,
-        heartbeat,
-        target,
+    let file = |p: &str| (!p.is_empty()).then(|| PathBuf::from(p));
+    let mut persist = FilePersist::new(file(&series_path), window, meta, file(&checkpoint_path));
+    let mut driver = WindowDriver::new(k, window, checkpoint_every, snap, &mut persist);
+    // The heartbeat is a boundary hook: about once a second, progress,
+    // rate, ETA and RSS go to stderr.
+    let mut last_beat = None;
+    let mut on_boundary = |t: Time, started: Instant| {
+        if !heartbeat || last_beat.unwrap_or(started).elapsed().as_secs_f64() < 1.0 {
+            return;
+        }
+        last_beat = Some(Instant::now());
+        let rate = (t - start_t) as f64 / started.elapsed().as_secs_f64();
+        let eta = if target > t && rate > 0.0 {
+            format!("{:.0}s", (target - t) as f64 / rate)
+        } else {
+            "-".into()
+        };
+        let rss = match rss_sample() {
+            // Report anon separately: the mmap ingestion path
+            // legitimately pins file-backed pages into RSS.
+            Some(RssSample {
+                total,
+                anon: Some(anon),
+            }) => format!("{} MB (anon {} MB)", total / (1 << 20), anon / (1 << 20)),
+            Some(RssSample { total, anon: None }) => format!("{} MB", total / (1 << 20)),
+            None => "n/a".into(),
+        };
+        eprintln!(
+            "soak: {t}/{target} requests · {} req/s · ETA {eta} · RSS {rss}",
+            fnum(rate)
+        );
     };
 
     // The convex branch keeps the concrete type: the dual probe reads
-    // ConvexCaching's state, and the kernel is monomorphized.
-    let summary = if policy_name == "convex" {
+    // ConvexCaching's state, and the kernel is monomorphized. Timed
+    // windows carry latency histograms.
+    let run = if policy_name == "convex" {
         let alg = ConvexCaching::new(scenario.costs.clone());
         let mut probe = |p: &ConvexCaching| {
             Some(DualPoint {
@@ -2272,41 +2036,52 @@ pub fn soak(args: &Args) -> Result<(), CliError> {
             })
         };
         if timed {
-            run_soak::<_, true>(k, snap.as_ref(), alg, &mut source, &opts, &mut probe)?
+            driver.run::<_, _, true>(&mut source, alg, &mut probe, &mut on_boundary)
         } else {
-            run_soak::<_, false>(k, snap.as_ref(), alg, &mut source, &opts, &mut probe)?
+            driver.run::<_, _, false>(&mut source, alg, &mut probe, &mut on_boundary)
         }
     } else {
         let policy = make_policy(&scenario.costs);
-        // The probe argument type must match run_soak's `P` exactly, and
-        // here `P` really is the boxed trait object.
+        // The probe argument type must match the driver's `P` exactly,
+        // and here `P` really is the boxed trait object.
         #[allow(clippy::borrowed_box)]
         let mut probe = |_: &BoxedPolicy| None;
         if timed {
-            run_soak::<_, true>(k, snap.as_ref(), policy, &mut source, &opts, &mut probe)?
+            driver.run::<_, _, true>(&mut source, policy, &mut probe, &mut on_boundary)
         } else {
-            run_soak::<_, false>(k, snap.as_ref(), policy, &mut source, &opts, &mut probe)?
+            driver.run::<_, _, false>(&mut source, policy, &mut probe, &mut on_boundary)
         }
-    };
+    }?;
+
+    // A trace that failed mid-stream parked its error and ended the
+    // stream early; surface it instead of reporting a short run (and
+    // before the series is sealed).
+    match source.error() {
+        Some(TraceIoError::Io(io)) => return Err(CliError::Io(format!("reading trace: {io}"))),
+        Some(TraceIoError::Parse(m)) => {
+            return Err(CliError::Parse(format!("trace parse error: {m}")))
+        }
+        None => {}
+    }
+    // Sticky sink errors surface here (exit 3) rather than silently
+    // dropping the tail of the series.
+    persist.finish().map_err(|e| CliError::Io(e.to_string()))?;
+    let elapsed = run.started.elapsed();
+    let served = run.end - start_t;
 
     if start_t > 0 {
-        eprintln!(
-            "soak: resumed from t={start_t}, served {} more requests",
-            summary.served
-        );
+        eprintln!("soak: resumed from t={start_t}, served {served} more requests");
     }
-    let requests = summary.stats.total_hits() + summary.stats.total_misses();
+    let stats = &run.stats;
+    let requests = stats.total_hits() + stats.total_misses();
     let mut t = Table::new(vec!["metric", "value"]);
-    t.row(vec!["policy".into(), summary.policy.clone()]);
+    t.row(vec!["policy".into(), run.policy.clone()]);
     t.row(vec!["k".into(), k.to_string()]);
     t.row(vec!["requests".into(), requests.to_string()]);
     t.row(vec!["window".into(), window.to_string()]);
-    t.row(vec!["windows".into(), summary.windows.to_string()]);
-    t.row(vec!["hits".into(), summary.stats.total_hits().to_string()]);
-    t.row(vec![
-        "misses".into(),
-        summary.stats.total_misses().to_string(),
-    ]);
+    t.row(vec!["windows".into(), run.windows.to_string()]);
+    t.row(vec!["hits".into(), stats.total_hits().to_string()]);
+    t.row(vec!["misses".into(), stats.total_misses().to_string()]);
     t.row(vec![
         "miss_rate".into(),
         format!(
@@ -2314,28 +2089,28 @@ pub fn soak(args: &Args) -> Result<(), CliError> {
             if requests == 0 {
                 0.0
             } else {
-                summary.stats.total_misses() as f64 / requests as f64
+                stats.total_misses() as f64 / requests as f64
             }
         ),
     ]);
     t.row(vec![
         "evictions".into(),
-        summary.stats.total_evictions().to_string(),
+        stats.total_evictions().to_string(),
     ]);
     t.row(vec![
         "req/s".into(),
-        fnum(summary.served as f64 / summary.elapsed.as_secs_f64().max(1e-9)),
+        fnum(served as f64 / elapsed.as_secs_f64().max(1e-9)),
     ]);
     if !series_path.is_empty() {
         t.row(vec![
             "series".into(),
-            format!("{series_path} ({} lines)", summary.series_lines),
+            format!("{series_path} ({} lines)", run.windows + 1),
         ]);
     }
     emit(&t.to_markdown());
 
     let mut per = Table::new(vec!["tenant", "hits", "misses", "miss%", "evictions"]);
-    for (u, us) in summary.stats.per_user().iter().enumerate() {
+    for (u, us) in stats.per_user().iter().enumerate() {
         let reqs = us.hits + us.misses;
         per.row(vec![
             u.to_string(),
@@ -2355,9 +2130,7 @@ pub fn soak(args: &Args) -> Result<(), CliError> {
     emit(&per.to_markdown());
     eprintln!(
         "soak: window sums verified against engine totals ({} windows, t={}..{})",
-        summary.windows,
-        summary.base.total_hits() + summary.base.total_misses(),
-        summary.end_t
+        run.windows, start_t, run.end
     );
     Ok(())
 }

@@ -20,6 +20,7 @@
 //! Library errors stay typed (`TraceIoError`, `SnapshotError`,
 //! `SimError`); this module is only the mapping onto process exit codes.
 
+use occ_fleet::DriveError;
 use occ_sim::{SimError, SnapshotError, TraceIoError};
 use std::fmt;
 
@@ -117,6 +118,17 @@ impl From<SnapshotError> for CliError {
             SnapshotError::Mismatch(_) | SnapshotError::Unsupported(_) => {
                 CliError::Usage(e.to_string())
             }
+        }
+    }
+}
+
+impl From<DriveError> for CliError {
+    fn from(e: DriveError) -> Self {
+        match e {
+            DriveError::Snapshot(_, s) => s.into(),
+            // Persist targets name the failed step and path themselves.
+            DriveError::Persist(_, e) => CliError::Io(e.to_string()),
+            DriveError::Totals(m) => CliError::Other(m),
         }
     }
 }

@@ -1,6 +1,8 @@
-//! Black-box contracts of the real `occ` binary: a zero cache size is a
-//! usage error in every command that takes one, and `occ observe --out`
-//! replaces its report atomically.
+//! Black-box contracts of the real `occ` binary. Usage errors (exit 2,
+//! never a panic): a zero cache size in every command that takes one, a
+//! resume past the end of the stream, a soak checkpoint cadence with no
+//! checkpoint file, and more than 1024 concurrent worker threads. And
+//! `occ observe --out` replaces its report atomically.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -81,4 +83,85 @@ fn observe_report_cut_short_keeps_the_previous_report() {
         previous,
         "the previous report is untouched"
     );
+}
+
+/// Run `occ` and insist on a usage error (exit 2) that is not a panic.
+fn assert_usage_error(args: &[&str]) {
+    let out = occ(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+}
+
+#[test]
+fn soak_resuming_past_the_end_of_the_mixer_is_a_usage_error() {
+    // A soak checkpoint at t=100000 cannot continue a 50k-request mixer.
+    let ck = tmp("past-end.ckpt.json");
+    let soak = [
+        "soak",
+        "--scenario",
+        "two-tier",
+        "--window",
+        "50k",
+        "--heartbeat",
+        "off",
+    ];
+    let ck_arg = ck.to_str().unwrap();
+    let out = occ(&[&soak[..], &["--len", "100k", "--checkpoint", ck_arg]].concat());
+    assert!(out.status.success(), "{:?}", out);
+    assert_usage_error(&[&soak[..], &["--len", "50k", "--from", ck_arg]].concat());
+}
+
+#[test]
+fn fleet_resuming_past_the_end_of_the_mixer_is_a_usage_error() {
+    // Per-shard checkpoints at t=100000 cannot continue 50k-request
+    // shards.
+    let dir = tmp("past-end-fleet");
+    let _ = std::fs::remove_dir_all(&dir);
+    let fleet = [
+        "fleet",
+        "--scenario",
+        "two-tier",
+        "--shards",
+        "2",
+        "--window",
+        "50k",
+        "--policy",
+        "lru",
+    ];
+    let dir_arg = dir.to_str().unwrap();
+    let out = occ(&[&fleet[..], &["--len", "100k", "--checkpoint-dir", dir_arg]].concat());
+    assert!(out.status.success(), "{:?}", out);
+    assert_usage_error(&[&fleet[..], &["--len", "50k", "--from-dir", dir_arg]].concat());
+}
+
+#[test]
+fn soak_checkpoint_cadence_without_a_checkpoint_file_is_a_usage_error() {
+    assert_usage_error(&[
+        "soak",
+        "--scenario",
+        "two-tier",
+        "--len",
+        "2k",
+        "--window",
+        "1k",
+        "--checkpoint-every",
+        "1k",
+        "--heartbeat",
+        "off",
+    ]);
+}
+
+#[test]
+fn concurrent_thread_count_is_bounded() {
+    // Rejected before any source is built or thread started.
+    assert_usage_error(&[
+        "concurrent",
+        "--scenario",
+        "two-tier",
+        "--len",
+        "1k",
+        "--threads",
+        "1025",
+    ]);
 }

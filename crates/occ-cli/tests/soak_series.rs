@@ -401,3 +401,42 @@ fn checkpoint_write_failing_midway_keeps_the_previous_checkpoint() {
     spliced.extend(window_lines(&resumed));
     assert_eq!(spliced, window_lines(&full));
 }
+
+#[test]
+fn timed_windows_add_latency_and_change_nothing_else() {
+    use occ_probe::Json;
+    let windows = |timing: &str| -> Vec<Json> {
+        let series = tmp(&format!("timing-{timing}.jsonl"));
+        soak("12k", &series, &["--timing", timing]);
+        window_lines(&series)
+            .iter()
+            .map(|l| Json::parse(l).expect("window line parses"))
+            .collect()
+    };
+    let (timed, untimed) = (windows("on"), windows("off"));
+    assert_eq!(timed.len(), 3, "⌈12000/5000⌉ windows");
+    assert_eq!(timed.len(), untimed.len());
+    for (i, (on, off)) in timed.into_iter().zip(untimed).enumerate() {
+        let Json::Obj(mut fields) = on else {
+            panic!("window {i} is not an object")
+        };
+        let at = fields
+            .iter()
+            .position(|(k, _)| k == "latency_ns")
+            .unwrap_or_else(|| panic!("window {i} carries no latency histogram"));
+        let (_, hist) = fields.remove(at);
+        let requests = off.get("end").and_then(Json::as_u64).unwrap()
+            - off.get("start").and_then(Json::as_u64).unwrap();
+        assert_eq!(
+            hist.get("count").and_then(Json::as_u64),
+            Some(requests),
+            "window {i}: one latency sample per request"
+        );
+        assert!(off.get("latency_ns").is_none(), "untimed windows stay bare");
+        assert_eq!(
+            Json::Obj(fields),
+            off,
+            "window {i}: every other field agrees"
+        );
+    }
+}

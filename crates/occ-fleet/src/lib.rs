@@ -41,8 +41,9 @@ use std::time::{Duration, Instant};
 pub use occ_probe::Json;
 pub use shared::{run_shared_fleet, SharedConfig, SharedError, SharedReport, SHARED_SCHEMA};
 pub use supervisor::{
-    run_supervised_fleet, BackoffPolicy, DirPersist, FaultyPersist, NoPersist, ShardKill,
-    ShardPersist, ShardState, ShardStatus, StoreFault, SupervisorConfig, SupervisorReport,
+    run_supervised_fleet, Attempt, BackoffPolicy, DirPersist, DriveError, FaultyPersist,
+    FilePersist, NoPersist, ShardKill, ShardPersist, ShardState, ShardStatus, StoreFault,
+    SupervisorConfig, SupervisorReport, WindowDriver,
 };
 
 /// Schema stamp for [`FleetReport::to_json_value`].
@@ -60,8 +61,6 @@ pub struct FleetConfig {
     pub capacity: usize,
     /// Most requests per [`SteppingEngine::serve_from`] call.
     pub batch_size: usize,
-    /// Apply the paper's end-of-run flush convention per shard.
-    pub flush_at_end: bool,
     /// Attach a [`MetricsRecorder`] to every shard. Costs a monotonic
     /// clock sample per request (the recorder is `TIMED`); turn it off
     /// for pure-throughput runs, which then take the zero-overhead
@@ -86,25 +85,78 @@ impl FleetConfig {
         FleetConfig {
             capacity,
             batch_size: DEFAULT_BATCH_SIZE,
-            flush_at_end: false,
             record: true,
             max_workers: None,
             window: None,
         }
     }
+}
 
-    /// Worker threads this config would use for `shards` shards: the
-    /// explicit cap if set, else the machine's available parallelism,
-    /// never more than the shard count and never zero.
-    fn workers_for(&self, shards: usize) -> usize {
-        self.max_workers
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            })
-            .clamp(1, shards.max(1))
+/// Run `run(i, item)` for every item on scoped worker threads and
+/// return the results in item order. There are at most `max_workers`
+/// workers (default: the machine's available parallelism), never more
+/// than items; each replays its round-robin queue of items in order.
+/// One worker runs everything right here, with no spawn at all —
+/// oversubscribing cores buys nothing but context switches. A panic in
+/// `run` propagates.
+fn run_sharded<I: Send, T: Send>(
+    items: Vec<I>,
+    max_workers: Option<usize>,
+    run: impl Fn(usize, I) -> T + Sync,
+) -> Vec<T> {
+    let workers = max_workers
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        })
+        .clamp(1, items.len().max(1));
+    if workers == 1 {
+        return items
+            .into_iter()
+            .enumerate()
+            .map(|(i, x)| run(i, x))
+            .collect();
     }
+    let run = &run;
+    std::thread::scope(|scope| {
+        let mut queues: Vec<Vec<(usize, I)>> = Vec::new();
+        queues.resize_with(workers, Vec::new);
+        for (i, x) in items.into_iter().enumerate() {
+            queues[i % workers].push((i, x));
+        }
+        let handles: Vec<_> = queues
+            .into_iter()
+            .map(|queue| {
+                scope.spawn(move || {
+                    queue
+                        .into_iter()
+                        .map(|(i, x)| (i, run(i, x)))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let mut out: Vec<(usize, T)> = handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect();
+        out.sort_by_key(|(i, _)| *i);
+        out.into_iter().map(|(_, t)| t).collect()
+    })
+}
+
+/// Fold the shards' window series in shard order: window `i` of the
+/// result is the sum of every shard's window `i`.
+fn merge_shard_series(width: u64, shards: &[ShardReport]) -> WindowSeries {
+    let mut folded = WindowSeries {
+        width,
+        dropped: 0,
+        windows: Vec::new(),
+    };
+    for series in shards.iter().filter_map(|s| s.series.as_ref()) {
+        folded.merge(series);
+    }
+    folded
 }
 
 /// Outcome of one shard's replay.
@@ -277,9 +329,6 @@ where
         }
         served += n as u64;
     }
-    if cfg.flush_at_end {
-        engine.flush();
-    }
     served
 }
 
@@ -383,51 +432,12 @@ where
 {
     assert!(!sources.is_empty(), "a fleet needs at least one shard");
     assert!(cfg.batch_size > 0, "batch size must be positive");
-    let workers = cfg.workers_for(sources.len());
     let start = Instant::now();
-    let make_policy = &make_policy;
-    let shards: Vec<ShardReport> = if workers == 1 {
-        // One worker (one shard, a one-core machine, or an explicit
-        // cap): run the shards sequentially right here — no spawn, no
-        // join, no context switches. Per-shard results are identical
-        // either way (see the module docs on determinism).
-        sources
-            .into_iter()
-            .enumerate()
-            .map(|(i, source)| run_shard(i, source, cfg, make_policy(i)))
-            .collect()
-    } else {
-        std::thread::scope(|scope| {
-            // Deal shards round-robin onto `workers` threads; each
-            // worker replays its queue sequentially. Shard order is
-            // restored afterwards so reports are position-stable.
-            let mut queues: Vec<Vec<(usize, S)>> = Vec::new();
-            queues.resize_with(workers, Vec::new);
-            for (i, source) in sources.into_iter().enumerate() {
-                queues[i % workers].push((i, source));
-            }
-            let handles: Vec<_> = queues
-                .into_iter()
-                .map(|queue| {
-                    scope.spawn(move || {
-                        queue
-                            .into_iter()
-                            .map(|(i, source)| run_shard(i, source, cfg, make_policy(i)))
-                            .collect::<Vec<ShardReport>>()
-                    })
-                })
-                .collect();
-            let mut shards: Vec<ShardReport> = handles
-                .into_iter()
-                .flat_map(|h| match h.join() {
-                    Ok(reports) => reports,
-                    Err(panic) => std::panic::resume_unwind(panic),
-                })
-                .collect();
-            shards.sort_by_key(|s| s.shard);
-            shards
-        })
-    };
+    // Determinism makes the worker count invisible in per-shard results
+    // (see the module docs).
+    let shards = run_sharded(sources, cfg.max_workers, |i, source| {
+        run_shard(i, source, cfg, make_policy(i))
+    });
     let wall = start.elapsed();
     let mut merged = MetricsRecorder::new();
     if cfg.record {
@@ -437,19 +447,10 @@ where
             merged.merge(&s.recorder);
         }
     }
-    let merged_series = cfg.window.filter(|_| cfg.record).map(|width| {
-        let mut folded = WindowSeries {
-            width,
-            dropped: 0,
-            windows: Vec::new(),
-        };
-        for s in &shards {
-            if let Some(series) = &s.series {
-                folded.merge(series);
-            }
-        }
-        folded
-    });
+    let merged_series = cfg
+        .window
+        .filter(|_| cfg.record)
+        .map(|width| merge_shard_series(width, &shards));
     let total_requests = shards.iter().map(|s| s.served).sum();
     FleetReport {
         shards,
@@ -466,7 +467,7 @@ mod tests {
     use super::*;
     use occ_baselines::Lru;
     use occ_sim::Simulator;
-    use occ_workloads::{sqlvm_like, two_tier, AccessPattern, PatternSource};
+    use occ_workloads::{sqlvm_like, two_tier, PatternSource};
 
     fn lru_factory(_shard: usize) -> Box<dyn ReplacementPolicy> {
         Box::new(Lru::new())
@@ -633,16 +634,6 @@ mod tests {
         );
         assert!(plain.merged_series.is_none());
         assert!(plain.to_json_value().get("series").is_none());
-    }
-
-    #[test]
-    fn flush_at_end_charges_every_cached_page() {
-        let mut cfg = FleetConfig::new(8);
-        cfg.flush_at_end = true;
-        let sources = vec![PatternSource::new(AccessPattern::Scan, 8, 64, 0)];
-        let report = run_fleet(sources, &cfg, lru_factory);
-        assert_eq!(report.shards[0].recorder.flush_evictions(), 8);
-        assert_eq!(report.shards[0].stats.total_evictions(), 8);
     }
 
     #[test]

@@ -45,13 +45,23 @@
 //! load-bearing: the opposite order could persist a checkpoint whose
 //! preceding window was never written, and nothing would ever
 //! regenerate it.
+//!
+//! **One windowed driver.** Each attempt is a run of [`WindowDriver`],
+//! the one loop that streams a source through an engine in tumbling
+//! windows, checkpoints on window boundaries and checks Σ windows ≡
+//! engine totals at the end. `occ soak` runs a single unsupervised
+//! attempt of the same driver, persisting through [`FilePersist`].
 
-use crate::{FleetConfig, FleetReport, ShardReport};
+use crate::{FleetReport, ShardReport};
 use occ_probe::{
-    write_checkpoint_file, Json, MetricsRecorder, SeriesSink, WindowDelta, WindowSeries,
-    WindowedRecorder,
+    write_checkpoint_file, AtomicWriter, DualPoint, Json, MetricsRecorder, SeriesSink, WindowDelta,
+    WindowSeries, WindowedRecorder,
 };
-use occ_sim::{EngineSnapshot, ReplacementPolicy, SeekableSource, SimStats, SteppingEngine};
+use occ_sim::{
+    EngineSnapshot, ReplacementPolicy, SeekableSource, SimStats, SnapshotError, SteppingEngine,
+    Time, DEFAULT_BATCH_SIZE,
+};
+use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::panic::{self, AssertUnwindSafe};
@@ -142,11 +152,10 @@ fn splitmix64(mut z: u64) -> u64 {
 /// Configuration for [`run_supervised_fleet`].
 #[derive(Clone, Debug)]
 pub struct SupervisorConfig {
-    /// Shard capacity and worker cap ([`FleetConfig::capacity`],
-    /// [`FleetConfig::max_workers`]). The supervised driver always
-    /// records tumbling windows and pulls per request, so
-    /// `record`/`window`/`batch_size`/`flush_at_end` are ignored here.
-    pub fleet: FleetConfig,
+    /// Cache capacity `k` of every shard.
+    pub capacity: usize,
+    /// Cap on worker threads, as [`FleetConfig::max_workers`](crate::FleetConfig::max_workers).
+    pub max_workers: Option<usize>,
     /// Window width = checkpoint cadence: every shard checkpoints at
     /// every multiple of this many requests.
     pub window: u64,
@@ -168,7 +177,8 @@ impl SupervisorConfig {
     /// `window`, 3 restarts per shard, and no chaos.
     pub fn new(capacity: usize, window: u64) -> Self {
         SupervisorConfig {
-            fleet: FleetConfig::new(capacity),
+            capacity,
+            max_workers: None,
             window,
             max_restarts: 3,
             backoff: BackoffPolicy::none(),
@@ -297,13 +307,19 @@ impl SupervisorReport {
     }
 }
 
-/// Where a supervised shard persists its recovery state: checkpoints
+/// Where a windowed shard persists its recovery state: checkpoints
 /// (latest wins) and the append-only window series. Implementations
 /// need not be thread-safe — each shard owns its own target — but must
 /// be `Send`: the factory may build them on one thread (e.g. the CLI
 /// pre-opening files to classify errors) and hand them to the worker
 /// that drives the shard.
 pub trait ShardPersist: Send {
+    /// Called at the start of every attempt, after the engine is built
+    /// and the source positioned, right before the first request. The
+    /// default does nothing.
+    fn begin(&mut self) -> io::Result<()> {
+        Ok(())
+    }
     /// Durably save `snap` as the shard's latest checkpoint. Failure
     /// aborts the attempt (and is retried like a panic).
     fn save_checkpoint(&mut self, snap: &EngineSnapshot) -> io::Result<()>;
@@ -422,6 +438,80 @@ impl ShardPersist for DirPersist {
     }
 }
 
+/// Persist one unsupervised run (`occ soak`) to two optional files.
+/// The series streams through an [`AtomicWriter`] that
+/// [`begin`](ShardPersist::begin) creates, so a killed run leaves
+/// `<series>.tmp` behind and a finished one is renamed into place,
+/// sealed with its `#crc32:` trailer. Series write errors are sticky
+/// and surface at [`finish`](ShardPersist::finish). Every checkpoint
+/// atomically replaces the checkpoint file. Errors name the path.
+pub struct FilePersist {
+    series_path: Option<PathBuf>,
+    width: u64,
+    meta: Vec<(&'static str, Json)>,
+    sink: Option<SeriesSink<AtomicWriter>>,
+    checkpoint_path: Option<PathBuf>,
+}
+
+impl FilePersist {
+    /// A series at `series` whose header carries `width` and `meta`,
+    /// and checkpoints at `checkpoint`; `None` turns either file off.
+    pub fn new(
+        series: Option<PathBuf>,
+        width: u64,
+        meta: Vec<(&'static str, Json)>,
+        checkpoint: Option<PathBuf>,
+    ) -> Self {
+        FilePersist {
+            series_path: series,
+            width,
+            meta,
+            sink: None,
+            checkpoint_path: checkpoint,
+        }
+    }
+}
+
+/// Prefix an I/O error with what failed and on which path.
+fn at_path(what: &str, path: &Path, e: io::Error) -> io::Error {
+    io::Error::new(e.kind(), format!("{what} {}: {e}", path.display()))
+}
+
+impl ShardPersist for FilePersist {
+    fn begin(&mut self) -> io::Result<()> {
+        if let Some(path) = &self.series_path {
+            let w = AtomicWriter::create(path).map_err(|e| at_path("create", path, e))?;
+            let mut sink = SeriesSink::new(w);
+            sink.write_header(self.width, &self.meta);
+            self.sink = Some(sink);
+        }
+        Ok(())
+    }
+
+    fn save_checkpoint(&mut self, snap: &EngineSnapshot) -> io::Result<()> {
+        if let Some(path) = &self.checkpoint_path {
+            write_checkpoint_file(path, snap).map_err(|e| at_path("write checkpoint", path, e))?;
+        }
+        Ok(())
+    }
+
+    fn append_window(&mut self, w: &WindowDelta) -> io::Result<()> {
+        if let Some(sink) = &mut self.sink {
+            sink.write_window(w);
+        }
+        Ok(())
+    }
+
+    fn finish(&mut self) -> io::Result<()> {
+        if let (Some(path), Some(sink)) = (&self.series_path, self.sink.take()) {
+            sink.finish()
+                .and_then(AtomicWriter::commit)
+                .map_err(|e| at_path("writing", path, e))?;
+        }
+        Ok(())
+    }
+}
+
 /// Wrap another persist target and fail chosen checkpoint saves with an
 /// injected I/O error — the failing-writer shim behind
 /// `--chaos-store-fail`. The save counter persists across restarts, so
@@ -444,6 +534,10 @@ impl FaultyPersist {
 }
 
 impl ShardPersist for FaultyPersist {
+    fn begin(&mut self) -> io::Result<()> {
+        self.inner.begin()
+    }
+
     fn save_checkpoint(&mut self, snap: &EngineSnapshot) -> io::Result<()> {
         self.saves += 1;
         if self.fail_nths.contains(&self.saves) {
@@ -496,52 +590,156 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Cross-attempt state of one supervised shard. Mutated only at commit
-/// points (see the module docs on poison safety).
-struct ShardDriver<'a> {
+/// Why an attempt of a [`WindowDriver`] failed. Each variant names the
+/// step that failed.
+#[derive(Debug)]
+pub enum DriveError {
+    /// Restoring the engine from a snapshot, or taking one, failed.
+    Snapshot(&'static str, SnapshotError),
+    /// The persist target failed.
+    Persist(String, io::Error),
+    /// The drained windows do not sum to the engine's own totals.
+    Totals(String),
+}
+
+impl std::fmt::Display for DriveError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DriveError::Snapshot(step, e) => write!(f, "{step}: {e}"),
+            DriveError::Persist(step, e) => write!(f, "{step}: {e}"),
+            DriveError::Totals(m) => f.write_str(m),
+        }
+    }
+}
+
+impl std::error::Error for DriveError {}
+
+/// What one completed attempt of a [`WindowDriver`] served.
+#[derive(Clone, Debug)]
+pub struct Attempt {
+    /// The engine's counters at the end (a resumed run's include the
+    /// snapshot's).
+    pub stats: SimStats,
+    /// Engine time at the end of the stream.
+    pub end: Time,
+    /// Windows drained by this attempt.
+    pub windows: u64,
+    /// The policy's display name.
+    pub policy: String,
+    /// When serving began: after the engine was built, the source
+    /// positioned and the persist target begun.
+    pub started: Instant,
+}
+
+/// The one windowed shard driver. An attempt builds the engine (fresh,
+/// or from the last good snapshot), seeks the source to the engine's
+/// clock, and serves up to each window boundary: at most
+/// [`DEFAULT_BATCH_SIZE`] requests per call and never past a scheduled
+/// kill. At a boundary it samples the caller's dual probe, closes the
+/// window, drains it into the [`ShardPersist`] and, on a multiple of
+/// the checkpoint cadence, saves a checkpoint. At the end of the stream
+/// it finalizes the trailing window and checks that the drained windows
+/// sum to the engine's own totals.
+///
+/// `occ soak` runs one attempt of a driver built by [`WindowDriver::new`].
+/// [`run_supervised_fleet`] runs attempts of one supervised driver per
+/// shard until one succeeds or the restart budget is spent. A supervised
+/// driver checkpoints every window, honours the kill schedule, and keeps
+/// what a restart resumes from: the last good snapshot and the committed
+/// windows. Both change only at commit points (see the module docs).
+pub struct WindowDriver<'a> {
     shard: usize,
     width: u64,
     capacity: usize,
-    /// Last durably checkpointed snapshot; restarts resume here.
+    /// Checkpoint at every multiple of this many requests; 0 = never.
+    checkpoint_every: u64,
+    supervised: bool,
+    /// The snapshot the next attempt starts from.
     last_good: Option<EngineSnapshot>,
     /// Windows covered by `last_good` (plus, after a clean finish, the
     /// trailing partial window).
     committed: Vec<WindowDelta>,
     /// First window index not yet committed.
     next_commit: u64,
-    /// Pending kill times for this shard, ascending, none before the
-    /// resume point; consumed as fired.
-    pending_kills: std::collections::VecDeque<u64>,
+    /// Pending kill times, ascending, none before the resume point;
+    /// consumed as fired.
+    pending_kills: VecDeque<u64>,
     persist: &'a mut dyn ShardPersist,
 }
 
-impl ShardDriver<'_> {
-    /// One attempt: rebuild everything from `last_good`, replay to the
-    /// end of the stream, committing at each window boundary. Returns
-    /// the engine's final stats and end time on success; any `Err` or
-    /// panic is a failed attempt.
-    fn attempt<S, P>(&mut self, mut source: S, policy: P) -> Result<(SimStats, u64), String>
+impl<'a> WindowDriver<'a> {
+    /// An unsupervised driver (`occ soak`): windows of `width` requests,
+    /// a checkpoint every `checkpoint_every` requests (a multiple of
+    /// `width`; 0 = none) and one of the final state, starting from
+    /// `resume` if given. It keeps no drained window in memory, and no
+    /// snapshot but `resume`.
+    ///
+    /// Panics if `width` is zero or `checkpoint_every` is not a multiple
+    /// of it.
+    pub fn new(
+        capacity: usize,
+        width: u64,
+        checkpoint_every: u64,
+        resume: Option<EngineSnapshot>,
+        persist: &'a mut dyn ShardPersist,
+    ) -> Self {
+        assert!(
+            width > 0 && checkpoint_every.is_multiple_of(width),
+            "checkpoints land on the boundaries of non-empty windows"
+        );
+        WindowDriver {
+            shard: 0,
+            width,
+            capacity,
+            checkpoint_every,
+            supervised: false,
+            last_good: resume,
+            committed: Vec::new(),
+            next_commit: 0,
+            pending_kills: VecDeque::new(),
+            persist,
+        }
+    }
+
+    /// Run one attempt to the end of `source`. `probe` is sampled before
+    /// each window closes; `on_boundary(t, started)` runs after each
+    /// boundary's commit. `TIMED` records per-request latency into the
+    /// windows. Any `Err` or panic is a failed attempt.
+    pub fn run<S, P, const TIMED: bool>(
+        &mut self,
+        source: &mut S,
+        policy: P,
+        probe: &mut dyn FnMut(&P) -> Option<DualPoint>,
+        on_boundary: &mut dyn FnMut(Time, Instant),
+    ) -> Result<Attempt, DriveError>
     where
         S: SeekableSource,
         P: ReplacementPolicy,
     {
         let eng = match &self.last_good {
             Some(snap) => SteppingEngine::from_snapshot(snap, policy)
-                .map_err(|e| format!("restoring checkpoint: {e}"))?,
+                .map_err(|e| DriveError::Snapshot("restoring checkpoint", e))?,
             None => SteppingEngine::new(self.capacity, source.universe().clone(), policy),
         };
-        let t0 = eng.time();
-        source.seek_forward(t0);
+        let start = eng.time();
+        source.seek_forward(start);
         let mut eng = eng.with_recorder(
-            WindowedRecorder::<false>::starting_at(self.width, t0).with_ring_capacity(usize::MAX),
+            WindowedRecorder::<TIMED>::starting_at(self.width, start).with_ring_capacity(64),
         );
+        let base = eng.stats().clone();
+        self.persist
+            .begin()
+            .map_err(|e| DriveError::Persist("opening series".into(), e))?;
+        let started = Instant::now();
+        let mut total = WindowDelta::default();
+        let mut windows = 0;
         loop {
             let t = eng.time();
             // Serve up to the next window boundary or pending kill,
             // whichever comes first, so both land at exact ticks. Kills
             // are never behind the clock: stale ones are dropped when the
             // driver is built, and later ones are popped as they fire.
-            let mut max = self.width - t % self.width;
+            let mut max = (self.width - t % self.width).min(DEFAULT_BATCH_SIZE as u64);
             if let Some(&kill) = self.pending_kills.front() {
                 if kill == t {
                     self.pending_kills.pop_front();
@@ -552,71 +750,127 @@ impl ShardDriver<'_> {
                 }
                 max = max.min(kill - t);
             }
-            let max = usize::try_from(max).unwrap_or(usize::MAX);
-            if eng.serve_from(&mut source, max) == 0 {
+            if eng.serve_from(source, max as usize) == 0 {
                 break;
             }
-            let t = eng.time();
-            if t % self.width == 0 {
-                eng.recorder_mut().roll_to(t);
-                let drained = eng.recorder_mut().drain_new();
-                self.commit(&mut eng, drained, true)?;
+            if eng.time().is_multiple_of(self.width) {
+                windows += self.commit(&mut eng, probe, &mut total, false)?;
+                on_boundary(eng.time(), started);
             }
         }
-        let end = eng.time();
-        eng.recorder_mut().finalize(end);
-        let drained = eng.recorder_mut().drain_new();
-        // A trailing partial window cannot be checkpointed (resume
-        // requires a boundary), but the stream is over: commit it
-        // without a snapshot. A crash after this point is impossible —
-        // the attempt only returns.
-        self.commit(&mut eng, drained, end % self.width == 0)?;
+        windows += self.commit(&mut eng, probe, &mut total, true)?;
         let stats = eng.stats().clone();
-        self.persist
-            .finish()
-            .map_err(|e| format!("sealing series: {e}"))?;
-        Ok((stats, end))
+        check_window_totals(&total, &stats, &base).map_err(DriveError::Totals)?;
+        Ok(Attempt {
+            stats,
+            end: eng.time(),
+            windows,
+            policy: eng.policy().name(),
+            started,
+        })
     }
 
-    /// Commit point: persist the windows, then (at boundaries) the
-    /// checkpoint, then update in-memory state. Ordering is the crash
-    /// contract — see the module docs.
-    fn commit<S: occ_sim::probe::Recorder, P: ReplacementPolicy>(
+    /// Commit point at the engine's clock `t`, a window boundary or the
+    /// `end` of the stream: sample the dual probe into the window about
+    /// to close, close it (at the end, the trailing partial window too),
+    /// persist the closed windows, then the checkpoint if one is due,
+    /// then update in-memory state. Ordering is the crash contract — see
+    /// the module docs. Returns the number of windows closed.
+    fn commit<P: ReplacementPolicy, const TIMED: bool>(
         &mut self,
-        eng: &mut SteppingEngine<P, S>,
-        drained: Vec<WindowDelta>,
-        checkpoint: bool,
-    ) -> Result<(), String> {
-        for w in &drained {
-            self.persist
-                .append_window(w)
-                .map_err(|e| format!("appending window {}: {e}", w.index))?;
-        }
-        let snap = if checkpoint {
-            let snap = eng.snapshot().map_err(|e| format!("snapshotting: {e}"))?;
-            self.persist
-                .save_checkpoint(&snap)
-                .map_err(|e| format!("saving checkpoint: {e}"))?;
-            Some(snap)
-        } else {
-            None
-        };
-        // Everything durable — commit to memory.
-        if let Some(snap) = snap {
-            self.last_good = Some(snap);
-        }
-        for w in drained {
-            if w.index >= self.next_commit {
-                self.next_commit = w.index + 1;
-                self.committed.push(w);
+        eng: &mut SteppingEngine<P, WindowedRecorder<TIMED>>,
+        probe: &mut dyn FnMut(&P) -> Option<DualPoint>,
+        total: &mut WindowDelta,
+        end: bool,
+    ) -> Result<u64, DriveError> {
+        let t = eng.time();
+        let boundary = t.is_multiple_of(self.width);
+        // A stream that ends on a boundary closed its last window there.
+        if !(end && boundary) {
+            if let Some(point) = probe(eng.policy()) {
+                eng.recorder_mut().note_dual(point);
             }
         }
-        Ok(())
+        if end {
+            eng.recorder_mut().finalize(t);
+        } else {
+            eng.recorder_mut().roll_to(t);
+        }
+        let drained = eng.recorder_mut().drain_new();
+        for w in &drained {
+            total.merge_from(w);
+            self.persist
+                .append_window(w)
+                .map_err(|e| DriveError::Persist(format!("appending window {}", w.index), e))?;
+        }
+        // The final state is checkpointed too, except that a supervised
+        // driver cannot resume mid-window: it commits a trailing partial
+        // window without a snapshot. A crash after the final commit is
+        // impossible — the attempt only returns.
+        let every = self.checkpoint_every;
+        let due = if end {
+            boundary || !self.supervised
+        } else {
+            t.is_multiple_of(every)
+        };
+        if every > 0 && due {
+            let snap = eng
+                .snapshot()
+                .map_err(|e| DriveError::Snapshot("snapshotting", e))?;
+            self.persist
+                .save_checkpoint(&snap)
+                .map_err(|e| DriveError::Persist("saving checkpoint".into(), e))?;
+            if self.supervised {
+                self.last_good = Some(snap);
+            }
+        }
+        let closed = drained.len() as u64;
+        if self.supervised {
+            for w in drained {
+                if w.index >= self.next_commit {
+                    self.next_commit = w.index + 1;
+                    self.committed.push(w);
+                }
+            }
+        }
+        Ok(closed)
     }
 }
 
+/// Check that the drained windows sum exactly to the engine's counters
+/// minus those it started from: the windows tile the run, so any drift
+/// is a bug.
+fn check_window_totals(
+    total: &WindowDelta,
+    stats: &SimStats,
+    base: &SimStats,
+) -> Result<(), String> {
+    let d_hits = stats.total_hits() - base.total_hits();
+    let d_misses = stats.total_misses() - base.total_misses();
+    let d_evictions = stats.total_evictions() - base.total_evictions();
+    if total.hits != d_hits || total.misses() != d_misses || total.evictions != d_evictions {
+        return Err(format!(
+            "window sums (hits {}, misses {}, evictions {}) != engine totals \
+             (hits {d_hits}, misses {d_misses}, evictions {d_evictions})",
+            total.hits,
+            total.misses(),
+            total.evictions
+        ));
+    }
+    let at = |v: &[u64], u: usize| v.get(u).copied().unwrap_or(0);
+    for (u, us) in stats.per_user().iter().enumerate() {
+        let b = base.per_user().get(u).copied().unwrap_or_default();
+        if at(&total.hits_by_user, u) != us.hits - b.hits
+            || at(&total.misses_by_user, u) != us.misses - b.misses
+            || at(&total.evictions_by_user, u) != us.evictions - b.evictions
+        {
+            return Err(format!("per-tenant window sums diverged for tenant {u}"));
+        }
+    }
+    Ok(())
+}
+
 /// Drive one shard under supervision to a terminal state.
-#[allow(clippy::too_many_arguments)]
 fn supervise_shard<S, P>(
     shard: usize,
     cfg: &SupervisorConfig,
@@ -641,97 +895,79 @@ where
         .map(|k| k.at)
         .collect();
     kills.sort_unstable();
-    let mut driver = ShardDriver {
+    let mut driver = WindowDriver {
         shard,
-        width: cfg.window,
-        capacity: cfg.fleet.capacity,
-        last_good: initial,
-        committed: Vec::new(),
+        supervised: true,
         next_commit: resume_t / cfg.window,
         pending_kills: kills.into(),
-        persist,
+        ..WindowDriver::new(cfg.capacity, cfg.window, cfg.window, initial, persist)
     };
     let mut restarts = 0u32;
     let mut backoff_ms = Vec::new();
     let mut last_error = None;
-    loop {
+    let (state, stats, end) = loop {
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-            driver.attempt(make_source(shard), make_policy(shard))
+            let run = driver.run::<_, _, false>(
+                &mut make_source(shard),
+                make_policy(shard),
+                &mut |_| None,
+                &mut |_, _| {},
+            )?;
+            driver
+                .persist
+                .finish()
+                .map_err(|e| DriveError::Persist("sealing series".into(), e))?;
+            Ok::<_, DriveError>(run)
         }));
         let error = match outcome {
-            Ok(Ok((stats, end))) => {
-                let state = if restarts == 0 {
-                    ShardState::Clean
-                } else {
-                    ShardState::Recovered
-                };
-                let series = WindowSeries {
-                    width: cfg.window,
-                    dropped: 0,
-                    windows: std::mem::take(&mut driver.committed),
-                };
-                let report = ShardReport {
-                    shard,
-                    stats,
-                    served: end - resume_t,
-                    elapsed: start.elapsed(),
-                    recorder: MetricsRecorder::new(),
-                    series: Some(series),
-                };
-                let status = ShardStatus {
-                    shard,
-                    state,
-                    restarts,
-                    backoff_ms,
-                    error: last_error,
-                    windows_lost: 0,
-                };
-                return (report, status);
-            }
-            Ok(Err(msg)) => msg,
+            Ok(Ok(run)) if restarts == 0 => break (ShardState::Clean, run.stats, run.end),
+            Ok(Ok(run)) => break (ShardState::Recovered, run.stats, run.end),
+            Ok(Err(e)) => e.to_string(),
             Err(payload) => panic_message(payload),
         };
-        restarts += 1;
         last_error = Some(error);
-        if restarts > cfg.max_restarts {
+        if restarts >= cfg.max_restarts {
             // Quarantine: contribute the last checkpoint's stats and
             // the committed windows; nothing past the checkpoint.
-            let (stats, end) = match &driver.last_good {
-                Some(snap) => (SimStats::from_per_user(snap.stats.clone()), snap.time),
+            break match &driver.last_good {
+                Some(snap) => {
+                    let stats = SimStats::from_per_user(snap.stats.clone());
+                    (ShardState::Quarantined, stats, snap.time)
+                }
                 None => {
                     let n = make_source(shard).universe().num_users();
-                    (SimStats::new(n), resume_t)
+                    (ShardState::Quarantined, SimStats::new(n), resume_t)
                 }
             };
-            let series = WindowSeries {
-                width: cfg.window,
-                dropped: 0,
-                windows: std::mem::take(&mut driver.committed),
-            };
-            let report = ShardReport {
-                shard,
-                stats,
-                served: end - resume_t,
-                elapsed: start.elapsed(),
-                recorder: MetricsRecorder::new(),
-                series: Some(series),
-            };
-            let status = ShardStatus {
-                shard,
-                state: ShardState::Quarantined,
-                restarts: restarts - 1,
-                backoff_ms,
-                error: last_error,
-                windows_lost: 0,
-            };
-            return (report, status);
         }
+        restarts += 1;
         let delay = cfg.backoff.delay_ms(shard, restarts);
         backoff_ms.push(delay);
         if delay > 0 {
             std::thread::sleep(Duration::from_millis(delay));
         }
-    }
+    };
+    let report = ShardReport {
+        shard,
+        stats,
+        served: end - resume_t,
+        elapsed: start.elapsed(),
+        recorder: MetricsRecorder::new(),
+        series: Some(WindowSeries {
+            width: cfg.window,
+            dropped: 0,
+            windows: driver.committed,
+        }),
+    };
+    let status = ShardStatus {
+        shard,
+        state,
+        restarts,
+        backoff_ms,
+        error: last_error,
+        windows_lost: 0,
+    };
+    (report, status)
 }
 
 /// Run `shards` supervised shards: each one panic-isolated,
@@ -764,12 +1000,8 @@ where
 {
     assert!(shards > 0, "a fleet needs at least one shard");
     assert!(cfg.window > 0, "supervision needs a positive window width");
-    let workers = cfg.fleet.workers_for(shards);
     let start = Instant::now();
-    let make_source = &make_source;
-    let make_policy = &make_policy;
-    let make_persist = &make_persist;
-    let run_one = |i: usize| {
+    let run_one = |i: usize, ()| {
         let mut persist = make_persist(i);
         // Injected store faults wrap the shard's persist target in the
         // failing-writer shim; the fault counter lives in the wrapper,
@@ -783,52 +1015,16 @@ where
         if !fail_nths.is_empty() {
             persist = Box::new(FaultyPersist::new(persist, fail_nths));
         }
-        supervise_shard(i, cfg, make_source, make_policy, persist.as_mut())
+        supervise_shard(i, cfg, &make_source, &make_policy, persist.as_mut())
     };
-    let mut results: Vec<(ShardReport, ShardStatus)> = if workers == 1 {
-        (0..shards).map(run_one).collect()
-    } else {
-        std::thread::scope(|scope| {
-            let mut queues: Vec<Vec<usize>> = Vec::new();
-            queues.resize_with(workers, Vec::new);
-            for i in 0..shards {
-                queues[i % workers].push(i);
-            }
-            let handles: Vec<_> = queues
-                .into_iter()
-                .map(|queue| {
-                    scope.spawn(move || queue.into_iter().map(run_one).collect::<Vec<_>>())
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| match h.join() {
-                    Ok(r) => r,
-                    // Only a bug in the supervisor itself can get here:
-                    // shard panics are caught inside supervise_shard.
-                    Err(panic) => panic::resume_unwind(panic),
-                })
-                .collect()
-        })
-    };
-    results.sort_by_key(|(r, _)| r.shard);
+    // Shard panics are caught inside supervise_shard; only a bug in the
+    // supervisor itself propagates out of a worker.
+    let (shard_reports, statuses): (Vec<ShardReport>, Vec<ShardStatus>) =
+        crate::run_sharded(vec![(); shards], cfg.max_workers, run_one)
+            .into_iter()
+            .unzip();
     let wall = start.elapsed();
-    let mut shard_reports = Vec::with_capacity(shards);
-    let mut statuses = Vec::with_capacity(shards);
-    for (r, s) in results {
-        shard_reports.push(r);
-        statuses.push(s);
-    }
-    let mut merged_series = WindowSeries {
-        width: cfg.window,
-        dropped: 0,
-        windows: Vec::new(),
-    };
-    for s in &shard_reports {
-        if let Some(series) = &s.series {
-            merged_series.merge(series);
-        }
-    }
+    let merged_series = crate::merge_shard_series(cfg.window, &shard_reports);
     let total_requests = shard_reports.iter().map(|s| s.served).sum();
     FleetReport {
         shards: shard_reports,
@@ -1156,6 +1352,58 @@ mod tests {
                 "resumed window 2 is byte-identical"
             );
         }
+    }
+
+    /// Records what a driver persists: checkpoint times and window
+    /// indices.
+    #[derive(Default)]
+    struct Recording {
+        saves: Vec<u64>,
+        windows: Vec<u64>,
+    }
+
+    impl ShardPersist for Recording {
+        fn save_checkpoint(&mut self, snap: &EngineSnapshot) -> io::Result<()> {
+            self.saves.push(snap.time);
+            Ok(())
+        }
+        fn append_window(&mut self, w: &WindowDelta) -> io::Result<()> {
+            self.windows.push(w.index);
+            Ok(())
+        }
+        fn finish(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn soak_style_attempt_checkpoints_on_its_cadence_and_keeps_no_window() {
+        let mut persist = Recording::default();
+        let mut driver = WindowDriver::new(
+            sqlvm_like().suggested_k,
+            WIDTH,
+            2 * WIDTH,
+            None,
+            &mut persist,
+        );
+        let mut boundaries = Vec::new();
+        let run = driver
+            .run::<_, _, false>(
+                &mut source_for(0),
+                Lru::new(),
+                &mut |_| None,
+                &mut |t, _| boundaries.push(t),
+            )
+            .expect("attempt succeeds");
+        assert!(driver.committed.is_empty(), "no drained window is kept");
+        assert!(driver.last_good.is_none(), "no snapshot is kept");
+        assert_eq!((run.end, run.windows), (LEN, 4));
+        assert_eq!(run.stats, plain_fleet().shards[0].stats);
+        assert_eq!(boundaries, vec![250, 500, 750, 1000]);
+        // Every second boundary, then the final state (here the last
+        // boundary again).
+        assert_eq!(persist.saves, vec![500, 1000, 1000]);
+        assert_eq!(persist.windows, vec![0, 1, 2, 3]);
     }
 
     #[test]
