@@ -1,6 +1,8 @@
 //! Subcommand implementations for the `occ` binary.
 
-use crate::args::{parse_scaled, Args};
+use crate::args::Kind::{Choice, Count, Float, Int, OnOff, Pathname, Text};
+use crate::args::Unset::{Off, Required, Run, Value};
+use crate::args::{flag, parse_scaled, Args, Command, Flag, USIZE};
 use crate::errors::CliError;
 use occ_analysis::policies::{self, BoxedPolicy, Build, MakeOnline};
 use occ_analysis::{compare_policies, evaluate_policy, fnum, lru_cost_curve, lru_mrc, Table};
@@ -29,184 +31,218 @@ use std::io::{BufReader, BufWriter};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-/// Top-level usage text.
-pub const USAGE: &str = "\
-occ — online caching with convex costs
+const SCENARIO: Flag = flag("scenario", Text("NAME"), Required);
+const TRACE: Flag = flag("trace", Pathname("FILE"), Off);
+const LEN: Flag = flag("len", Count(0, USIZE), Value("60k"));
+const SEED: Flag = flag("seed", Int(0, u64::MAX), Value("7"));
+const POLICY: Flag = flag("policy", Text("NAME"), Value("convex"));
+const K: Flag = flag("k", Int(1, USIZE), Run("the scenario's suggested k"));
+const OUT: Flag = flag("out", Pathname("FILE"), Off);
+const FORMAT: Flag = flag("format", Choice(&["table", "json"]), Value("table"));
+const FLAVORS: &[&str] = &["auto", "msr", "twitter"];
+const FLAVOR: Flag = flag("csv-flavor", Choice(FLAVORS), Value("auto"));
+const CHECKPOINT: Flag = flag("checkpoint", Pathname("FILE"), Off);
+/// Every spelling `FaultPolicy::parse` accepts.
+#[rustfmt::skip]
+const DEGRADE: &[&str] =
+    &["fail-fast", "failfast", "skip", "skip-and-count", "quarantine", "quarantine-user"];
+const CHAOS_PAGE_RATE: Flag = flag("chaos-page-rate", Float(0.0, 1.0), Value("0"));
+const CHAOS_OWNER_RATE: Flag = flag("chaos-owner-rate", Float(0.0, 1.0), Value("0"));
+const CHAOS_TRUNCATE: Flag = flag("chaos-truncate", Count(0, USIZE), Value("0"));
+const CHAOS_SEED: Flag = flag("chaos-seed", Int(0, u64::MAX), Value("805381"));
+const IN: Flag = flag("in", Pathname("FILE"), Required);
+/// The `--out` of a command whose whole job is writing that file.
+const TO: Flag = flag("out", Pathname("FILE"), Required);
+const TRANSCODE: &[Flag] = &[IN, TO, flag("limit", Count(0, u64::MAX), Value("0"))];
 
-USAGE:
-  occ scenarios                                 list built-in scenarios
-  occ generate --scenario NAME [--len N] [--seed S]
-               [--format text|binary|binary-v2] --out FILE
-               write a trace file; binary is the fixed-width
-               little-endian form (magic \"occbin01\", 4 bytes/request)
-               read without line parsing, binary-v2 the delta+varint
-               compressed form (magic \"occbin02\", typically well under
-               half the occbin01 size for skewed workloads). --len
-               accepts k/M/B suffixes (500k, 10M). Every trace-reading
-               command auto-detects the format.
-  occ trace pack   --in FILE --out FILE [--limit N]
-               transcode a trace (occbin01/occbin02/text) to occbin02,
-               streaming — never materializes the trace. --limit N
-               (k/M/B suffixes) keeps only the first N requests.
-  occ trace unpack --in FILE --out FILE [--limit N]
-               transcode a trace to fixed-width occbin01 (the mmap-able
-               zero-copy form).
-  occ trace import --in FILE.csv --out FILE [--format binary|binary-v2]
-               [--csv-flavor auto|msr|twitter] [--tenants N] [--dict FILE]
-               convert a real-trace CSV (MSR-Cambridge block I/O or
-               Twitter-cluster key-access shapes, auto-sniffed) into a
-               binary trace. String keys are interned to dense page ids
-               in first-seen order and the recorded dictionary is
-               written to --dict (default OUT.dict) so ids stay mappable
-               back to keys. --tenants N hashes tenant keys into N
-               users (default: dense first-seen tenant ids).
-  occ run      --policy NAME --k K (--trace FILE --scenario NAME | --scenario NAME [--len N] [--seed S])
-  occ compare  --scenario NAME --k K [--len N] [--seed S]
-  occ mrc      --scenario NAME [--len N] [--seed S] [--max-k K]
-  occ observe  --scenario NAME [--policy NAME] [--k K] [--len N] [--seed S]
-               [--every N] [--out FILE] [--events FILE]
-               [--checkpoint FILE] [--checkpoint-every N]
-               [--chaos-page-rate P] [--chaos-owner-rate P]
-               [--chaos-truncate N] [--chaos-seed S] [--degrade POLICY]
-               run with full instrumentation; emit a JSON report (counters,
-               latency histogram, fault counters, and — for the convex
-               policy — the dual trajectory). --events streams one JSONL
-               line per engine event. --checkpoint writes a resumable
-               snapshot every N requests (default 10000). The --chaos-*
-               flags inject seeded record corruption; --degrade picks the
-               reaction: fail-fast (default), skip, quarantine.
-  occ resume   --from FILE --scenario NAME [--policy NAME] [--len N] [--seed S]
-               [same --chaos-*/--degrade/--checkpoint/--out flags as observe]
-               continue a checkpointed observe run over the same trace;
-               the continuation is byte-identical to an uninterrupted run.
-  occ soak     --scenario NAME [--len N] [--seed S] [--policy NAME] [--k K]
-               [--window W] [--series FILE] [--timing on|off]
-               [--checkpoint FILE] [--checkpoint-every N] [--from FILE]
-               [--heartbeat on|off] [--trace FILE]
-               stream N requests (default 10M) in O(1) memory, closing a
-               telemetry window every W requests (default 1M) and
-               appending each closed window to the JSONL series file.
-               --len/--window/--checkpoint-every accept k/M/B suffixes
-               (500k, 5M, 1B). --trace streams a trace file instead of
-               the scenario mixer: occbin01 (served zero-copy from a
-               memory mapping where the platform allows, buffered
-               otherwise), occbin02, or a real-trace CSV (msr/twitter
-               shapes, tenants hashed into the scenario's user count;
-               [--csv-flavor auto|msr|twitter]). --checkpoint-every
-               (default: every window, rounded up to a window multiple)
-               needs --checkpoint. --from resumes a killed soak from its
-               checkpoint, continuing the series byte-identically
-               (checkpoints land on window boundaries; pass the same
-               --scenario and --seed — the checkpoint carries engine
-               state, not the workload stream); a checkpoint past the
-               end of the stream exits 2. Soak is one attempt of the
-               windowed shard driver a supervised fleet restarts.
-               --timing on adds wall-clock latency histograms per window
-               (not byte-reproducible). A stderr heartbeat reports req/s,
-               ETA and RSS about once a second. Checkpoints and finished
-               series files are written atomically and sealed with a
-               #crc32 trailer; a killed run leaves the series at FILE.tmp
-               and resuming from a corrupt checkpoint exits 4.
-  occ report   --in FILE [--format table|json]
-               validate and render an `occ observe` report
-  occ report   --series FILE [--format table|json]
-               render an `occ soak` window series as an aligned table
-               with per-window Δ miss-ratio markers
-  occ fleet    --scenario NAME [--shards F] [--len N] [--seed S]
-               [--policy NAME] [--k K] [--batch B] [--window W]
-               [--trace FILE [--csv-flavor F]]
-               [--format table|json] [--out FILE]
-               [--supervise on|off|auto] [--max-restarts N] [--backoff-ms MS]
-               [--checkpoint-dir DIR] [--from-dir DIR] [--series-out FILE]
-               [--chaos-shard-kill S@T,..] [--chaos-store-fail S@N,..]
-               run F independent cache shards of the scenario in
-               parallel (one worker thread each, seeds derived per
-               shard), streaming requests in O(1) memory, and merge the
-               per-shard telemetry into one fleet report. --trace FILE
-               replays a trace file (occbin01/occbin02/CSV, as in soak)
-               on every shard instead of the mixer — occbin01 shards
-               serve batches zero-copy from a shared memory mapping
-               (unsupervised runs only). --window W
-               additionally collects tumbling-window series per shard
-               and merges them in shard order. Offline policies
-               (belady*) are rejected: the fleet never materializes a
-               trace.
-               Supervision (implied by any of the flags below; requires
-               --window, ignores --batch): shards run under panic
-               isolation, checkpoint on window boundaries, and are
-               restarted from their last checkpoint with seeded
-               exponential backoff (--backoff-ms 0 = no sleeping); a
-               shard that fails more than --max-restarts times is
-               quarantined and the run exits 7 with a degraded report.
-               --checkpoint-dir persists per-shard checkpoints + series
-               (shard-NNNN.ckpt.json / .series.jsonl); --from-dir
-               resumes a killed fleet from such a directory (corrupt
-               checkpoints exit 4, ones past --len exit 2). --series-out
-               writes the merged window series (atomic rename + CRC
-               trailer) — recovered runs produce it byte-identical to
-               uninterrupted ones.
-               --chaos-shard-kill panics shard S at request T;
-               --chaos-store-fail fails shard S's Nth checkpoint save
-               (both seeded, deterministic, counts accept k/M/B).
-  occ concurrent --scenario NAME [--threads M] [--table-shards S] [--len N]
-               [--seed S] [--k K] [--policy lru|fifo|greedy-dual]
-               [--trace FILE [--csv-flavor F]]
-               [--verify on|off] [--format table|json] [--out FILE]
-               [--schedule-out FILE]
-               [--chaos-page-rate P] [--chaos-owner-rate P]
-               [--chaos-truncate N] [--chaos-seed S] [--degrade POLICY]
-               run M worker threads (at most 1024) against ONE shared
-               k-sized cache (lock-striped over S page-table segments),
-               each thread streaming N scenario requests with a
-               per-thread seed (or, with --trace, each thread replaying
-               the same trace file — occbin01/occbin02/CSV; chaos flags
-               need the synthetic stream).
-               Every commit is recorded as (seq, thread, shard, page,
-               user, outcome); --verify on (the default) replays the
-               schedule single-threaded through the stock engine and
-               fails (exit 5) unless per-user hit/miss/eviction vectors,
-               fault counters and the quarantine set are identical.
-               Only policies with pure callbacks may share the cache
-               (lru, fifo, greedy-dual). --schedule-out writes the
-               commit schedule (CRC-sealed, self-describing header) for
-               offline replay. The --chaos-*/--degrade flags match
-               observe; chaos without --degrade fails fast.
-  occ concurrent --replay FILE [--format table|json] [--out FILE]
-               re-execute a --schedule-out file single-threaded and emit
-               a report whose users/faults/quarantined sections are
-               directly comparable to the recording run's (the CI
-               concurrency smoke byte-diffs them). Corrupt or
-               non-contiguous schedules exit 4; divergence exits 5.
-  occ conformance [--grid smoke|full] [--seed S] [--weaken W]
-               [--shrink on|off] [--out FILE] [--format table|json]
-               machine-check the paper's bounds (Theorems 1.1/1.3/1.4,
-               Claim 2.3) on a parallel grid of instances and render the
-               PASS/FAIL/VACUOUS verdict table. --out writes the
-               schema-stamped JSON verdicts (byte-identical for a given
-               grid, seed, and weaken factor). --weaken scales every
-               bound (values < 1 tighten them — the deliberate-failure
-               fixture); a FAIL verdict exits with code 6 after shrinking
-               a minimal counterexample.
-
-EXIT CODES:
-  0 ok · 1 error · 2 usage · 3 i/o · 4 unparseable file · 5 simulation fault
-  6 conformance FAIL (a checked bound was violated)
-  7 degraded (a supervised fleet quarantined a shard; report still written)
-
-POLICIES:
-  convex (alias alg-discrete: the paper's algorithm), lru, fifo, lfu,
-  marking, lru2, random, greedy-dual, cost-greedy, belady (offline),
-  belady-cost (offline)
-";
-
-/// Classify a flag-parsing error as a usage error (exit 2).
-fn uarg<T>(r: Result<T, String>) -> Result<T, CliError> {
-    r.map_err(CliError::Usage)
-}
+/// Every command, `occ trace` action and mode, with its flag table and
+/// usage paragraph, in usage order. [`Args::parse`] checks a command
+/// line against its entry's table; `main` runs the entry.
+#[rustfmt::skip]
+pub const COMMANDS: &[Command] = &[
+    Command { name: "scenarios", mode: None, run: |_| scenarios(), flags: &[],
+        about: "list built-in scenarios" },
+    Command { name: "generate", mode: None, run: generate, flags: &[
+        SCENARIO, LEN, SEED,
+        flag("format", Choice(&["text", "binary", "binary-v2"]), Value("text")),
+        TO,
+    ], about: "write a trace file; binary is the fixed-width little-endian form (magic \
+        \"occbin01\", 4 bytes/request) read without line parsing, binary-v2 the delta+varint \
+        compressed form (magic \"occbin02\", typically well under half the occbin01 size for \
+        skewed workloads). --len accepts k/M/B suffixes (500k, 10M). Every trace-reading command \
+        auto-detects the format." },
+    Command { name: "trace pack", mode: None, run: |a| trace_transcode(a, true), flags: TRANSCODE,
+        about: "transcode a trace (occbin01/occbin02/text) to occbin02, streaming — never \
+        materializes the trace. --limit N (k/M/B suffixes) keeps only the first N requests; 0 \
+        keeps them all." },
+    Command { name: "trace unpack", mode: None, run: |a| trace_transcode(a, false),
+        flags: TRANSCODE, about: "transcode a trace to fixed-width occbin01 (the mmap-able \
+        zero-copy form)." },
+    Command { name: "trace import", mode: None, run: trace_import, flags: &[
+        flag("in", Pathname("FILE.csv"), Required),
+        TO,
+        flag("dict", Pathname("FILE"), Run("OUT.dict")),
+        FLAVOR,
+        flag("tenants", Int(0, u32::MAX as u64), Value("0")),
+        flag("format", Choice(&["binary-v2", "binary"]), Value("binary-v2")),
+    ], about: "convert a real-trace CSV (MSR-Cambridge block I/O or Twitter-cluster key-access \
+        shapes, auto-sniffed) into a binary trace. String keys are interned to dense page ids in \
+        first-seen order and the recorded dictionary is written to --dict so ids stay mappable \
+        back to keys. --tenants N hashes tenant keys into N users (0: dense first-seen tenant \
+        ids)." },
+    Command { name: "run", mode: None, run, flags: &[SCENARIO, TRACE, LEN, SEED, POLICY, K],
+        about: "" },
+    Command { name: "compare", mode: None, run: compare, flags: &[SCENARIO, TRACE, LEN, SEED, K],
+        about: "" },
+    Command { name: "mrc", mode: None, run: mrc, about: "", flags: &[
+        SCENARIO, TRACE, LEN, SEED,
+        flag("max-k", Int(1, USIZE), Run("twice the scenario's suggested k")),
+    ] },
+    Command { name: "observe", mode: None, run: |a| observe_run(a, None), flags: &[
+        SCENARIO, TRACE, LEN, SEED, POLICY, K,
+        flag("every", Int(0, u64::MAX), Value("1000")),
+        OUT,
+        flag("events", Pathname("FILE"), Off),
+        CHECKPOINT,
+        flag("checkpoint-every", Int(0, u64::MAX), Value("10000")),
+        CHAOS_PAGE_RATE, CHAOS_OWNER_RATE, CHAOS_TRUNCATE, CHAOS_SEED,
+        flag("degrade", Choice(DEGRADE), Run("fail-fast with --chaos-*, else unchecked")),
+    ], about: "run with full instrumentation; emit a JSON report (counters, latency histogram, \
+        fault counters, and — for the convex policy — the dual trajectory). --events streams one \
+        JSONL line per engine event. --checkpoint writes a resumable snapshot every N requests. \
+        The --chaos-* flags inject seeded record corruption; --degrade picks the reaction: \
+        fail-fast (default), skip, quarantine." },
+    Command { name: "resume", mode: None, flags: &[
+        flag("from", Pathname("FILE"), Required),
+        SCENARIO, TRACE, LEN, SEED, POLICY,
+        flag("k", Int(1, USIZE), Run("the checkpoint's capacity")),
+        flag("every", Int(0, u64::MAX), Value("1000")),
+        OUT,
+        flag("events", Pathname("FILE"), Off),
+        CHECKPOINT,
+        flag("checkpoint-every", Int(0, u64::MAX), Value("10000")),
+        CHAOS_PAGE_RATE, CHAOS_OWNER_RATE, CHAOS_TRUNCATE, CHAOS_SEED,
+        flag("degrade", Choice(DEGRADE), Run("fail-fast with --chaos-*, else unchecked")),
+    ], run: |a| observe_run(a, Some(read_checkpoint(Path::new(a.str("from")))?)), about: "continue \
+        a checkpointed observe run over the same trace; the continuation is byte-identical to an \
+        uninterrupted run." },
+    Command { name: "soak", mode: None, run: soak, flags: &[
+        SCENARIO,
+        flag("len", Count(0, u64::MAX), Value("10M")),
+        SEED, POLICY,
+        flag("k", Int(1, USIZE), Run("the scenario's suggested k (--from: the checkpoint's)")),
+        flag("window", Count(1, u64::MAX), Value("1M")),
+        flag("series", Pathname("FILE"), Off),
+        flag("timing", OnOff, Value("off")),
+        CHECKPOINT,
+        flag("checkpoint-every", Count(0, u64::MAX), Value("0")),
+        flag("from", Pathname("FILE"), Off),
+        flag("heartbeat", OnOff, Value("on")),
+        TRACE, FLAVOR,
+    ], about: "stream N requests in O(1) memory, closing a telemetry window every W requests and \
+        appending each closed window to the JSONL series file. --len/--window/--checkpoint-every \
+        accept k/M/B suffixes (500k, 5M, 1B). --trace streams a trace file instead of the \
+        scenario mixer: occbin01 (served zero-copy from a memory mapping where the platform \
+        allows, buffered otherwise), occbin02, or a real-trace CSV (msr/twitter shapes, tenants \
+        hashed into the scenario's user count). --checkpoint-every (0: every window; rounded up \
+        to a window multiple) needs --checkpoint. --from resumes a killed soak from its \
+        checkpoint, continuing the series byte-identically (checkpoints land on window \
+        boundaries; pass the same --scenario and --seed — the checkpoint carries engine state, \
+        not the workload stream); a checkpoint past the end of the stream exits 2. Soak is one \
+        attempt of the windowed shard driver a supervised fleet restarts. --timing on adds \
+        wall-clock latency histograms per window (not byte-reproducible). A stderr heartbeat \
+        reports req/s, ETA and RSS about once a second. Checkpoints and finished series files are \
+        written atomically and sealed with a #crc32 trailer; a killed run leaves the series at \
+        FILE.tmp and resuming from a corrupt checkpoint exits 4." },
+    Command { name: "report", mode: None, run: report, flags: &[IN, FORMAT],
+        about: "validate and render an `occ observe` report." },
+    Command { name: "report", mode: Some("series"), run: report_series, flags: &[
+        flag("series", Pathname("FILE"), Required), FORMAT,
+    ], about: "render an `occ soak` window series as an aligned table with per-window Δ \
+        miss-ratio markers." },
+    Command { name: "fleet", mode: None, run: fleet, flags: &[
+        SCENARIO,
+        flag("shards", Int(1, USIZE), Value("4")),
+        flag("len", Count(0, u64::MAX), Value("60k")),
+        SEED,
+        flag("policy", Text("NAME"), Value("lru")),
+        K,
+        flag("batch", Int(1, USIZE), Value("4096")),
+        flag("window", Count(0, u64::MAX), Value("0")),
+        TRACE, FLAVOR, FORMAT, OUT,
+        flag("supervise", Choice(&["on", "off", "auto"]), Value("auto")),
+        flag("max-restarts", Int(0, u32::MAX as u64), Value("3")),
+        flag("backoff-ms", Int(0, u64::MAX), Value("0")),
+        flag("checkpoint-dir", Pathname("DIR"), Off),
+        flag("from-dir", Pathname("DIR"), Off),
+        flag("series-out", Pathname("FILE"), Off),
+        flag("chaos-shard-kill", Text("S@T,.."), Off),
+        flag("chaos-store-fail", Text("S@N,.."), Off),
+    ], about: "run F independent cache shards of the scenario in parallel (one worker thread \
+        each, seeds derived per shard), streaming requests in O(1) memory, and merge the \
+        per-shard telemetry into one fleet report. --trace FILE replays a trace file \
+        (occbin01/occbin02/CSV, as in soak) on every shard instead of the mixer — occbin01 shards \
+        serve batches zero-copy from a shared memory mapping (unsupervised runs only). --window W \
+        (0: none) additionally collects tumbling-window series per shard and merges them in shard \
+        order. Offline policies (belady*) are rejected: the fleet never materializes a trace. \
+        Supervision (implied by any of the flags below; requires --window, ignores --batch): \
+        shards run under panic isolation, checkpoint on window boundaries, and are restarted from \
+        their last checkpoint with seeded exponential backoff (--backoff-ms 0 = no sleeping); a \
+        shard that fails more than --max-restarts times is quarantined and the run exits 7 with a \
+        degraded report. --checkpoint-dir persists per-shard checkpoints + series \
+        (shard-NNNN.ckpt.json / .series.jsonl); --from-dir resumes a killed fleet from such a \
+        directory (corrupt checkpoints exit 4, ones past --len exit 2). --series-out writes the \
+        merged window series (atomic rename + CRC trailer) — recovered runs produce it \
+        byte-identical to uninterrupted ones. --chaos-shard-kill panics shard S at request T; \
+        --chaos-store-fail fails shard S's Nth checkpoint save (both seeded, deterministic, \
+        counts accept k/M/B)." },
+    Command { name: "concurrent", mode: None, run: concurrent, flags: &[
+        SCENARIO,
+        // Every worker is an OS thread: unbounded, one flag could exhaust the pid
+        // limit, and the shared engine panics when the OS refuses a thread.
+        flag("threads", Int(1, 1024), Value("4")),
+        flag("table-shards", Int(1, USIZE), Value("8")),
+        flag("len", Count(0, u64::MAX), Value("20000")),
+        SEED, K,
+        flag("policy", Text("lru|fifo|greedy-dual"), Value("lru")),
+        TRACE, FLAVOR,
+        flag("verify", OnOff, Value("on")),
+        FORMAT, OUT,
+        flag("schedule-out", Pathname("FILE"), Off),
+        CHAOS_PAGE_RATE, CHAOS_OWNER_RATE, CHAOS_TRUNCATE, CHAOS_SEED,
+        flag("degrade", Choice(DEGRADE), Run("fail-fast with --chaos-*, else skip")),
+    ], about: "run M worker threads (at most 1024) against ONE shared k-sized cache (lock-striped \
+        over S page-table segments), each thread streaming N scenario requests with a per-thread \
+        seed (or, with --trace, each thread replaying the same trace file — \
+        occbin01/occbin02/CSV; chaos flags need the synthetic stream). Every commit is recorded \
+        as (seq, thread, shard, page, user, outcome); --verify on (the default) replays the \
+        schedule single-threaded through the stock engine and fails (exit 5) unless per-user \
+        hit/miss/eviction vectors, fault counters and the quarantine set are identical. Only \
+        policies with pure callbacks may share the cache (lru, fifo, greedy-dual). --schedule-out \
+        writes the commit schedule (CRC-sealed, self-describing header) for offline replay. The \
+        --chaos-*/--degrade flags match observe; chaos without --degrade fails fast." },
+    Command { name: "concurrent", mode: Some("replay"), run: concurrent_replay, flags: &[
+        flag("replay", Pathname("FILE"), Required), FORMAT, OUT,
+    ], about: "re-execute a --schedule-out file single-threaded and emit a report whose \
+        users/faults/quarantined sections are directly comparable to the recording run's (the CI \
+        concurrency smoke byte-diffs them). Corrupt or non-contiguous schedules exit 4; \
+        divergence exits 5." },
+    Command { name: "conformance", mode: None, run: conformance, flags: &[
+        flag("grid", Choice(occ_conformance::GRID_NAMES), Value("smoke")),
+        SEED,
+        flag("weaken", Float(5e-324, f64::MAX), Value("1")),
+        flag("shrink", OnOff, Value("on")),
+        OUT, FORMAT,
+    ], about: "machine-check the paper's bounds (Theorems 1.1/1.3/1.4, Claim 2.3) on a parallel \
+        grid of instances and render the PASS/FAIL/VACUOUS verdict table. --out writes the \
+        schema-stamped JSON verdicts (byte-identical for a given grid, seed, and weaken factor). \
+        --weaken scales every bound (values < 1 tighten them — the deliberate-failure fixture); a \
+        FAIL verdict exits with code 6 after shrinking a minimal counterexample." },
+];
 
 /// Print to stdout, exiting quietly if the consumer closed the pipe
 /// (e.g. `occ mrc | head`).
-fn emit(text: &str) {
+pub fn emit(text: &str) {
     use std::io::Write;
     let stdout = std::io::stdout();
     let mut lock = stdout.lock();
@@ -230,14 +266,6 @@ fn find_scenario(name: &str) -> Result<Scenario, CliError> {
                 names.join(", ")
             ))
         })
-}
-
-/// Read a cache-size flag (`--k`, `--max-k`): a cache needs a slot.
-fn k_arg(args: &Args, flag: &str, default: usize) -> Result<usize, CliError> {
-    match uarg(args.num_or(flag, default))? {
-        0 => Err(CliError::Usage(format!("--{flag} must be positive"))),
-        k => Ok(k),
-    }
 }
 
 /// Resolve a policy for a command that streams its workload (`who`) and
@@ -293,41 +321,23 @@ pub fn scenarios() -> Result<(), CliError> {
     Ok(())
 }
 
-/// Convert a scaled `u64` count into a `usize`, failing as a usage
-/// error on 32-bit targets rather than truncating.
-fn scaled_usize(args: &Args, name: &str, default: u64) -> Result<usize, CliError> {
-    let n = uarg(args.scaled_or(name, default))?;
-    usize::try_from(n).map_err(|_| {
-        CliError::Usage(format!(
-            "--{name} {n} does not fit in this platform's usize"
-        ))
-    })
-}
-
 /// `occ generate`
 pub fn generate(args: &Args) -> Result<(), CliError> {
-    let scenario = find_scenario(&uarg(args.str_required("scenario"))?)?;
-    let len = scaled_usize(args, "len", 60_000)?;
-    let seed: u64 = uarg(args.num_or("seed", 7u64))?;
-    let out = uarg(args.str_required("out"))?;
-    let format = args.str_or("format", "text");
-    let trace = scenario.trace(len, seed);
+    let scenario = find_scenario(args.str("scenario"))?;
+    let out = args.str("out");
+    let format = args.str("format");
+    let trace = scenario.trace(args.val("len"), args.val("seed"));
     // Render in memory, then land on disk atomically: a crash or full
     // disk mid-generate leaves the old trace (or nothing), never a
     // half-written one. Binary traces additionally carry the occbin01
     // (or occbin02) checksum footer the writer appends.
     let mut buf = Vec::new();
-    match format.as_str() {
+    match format {
         "text" => write_trace(&trace, &mut buf)?,
         "binary" => write_trace_binary(&trace, &mut buf)?,
-        "binary-v2" => write_trace_binary_v2(&trace, &mut buf)?,
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown trace format '{other}' (expected text, binary, or binary-v2)"
-            )))
-        }
+        _ => write_trace_binary_v2(&trace, &mut buf)?,
     }
-    write_atomic(Path::new(&out), &buf).map_err(|e| CliError::Io(format!("write {out}: {e}")))?;
+    write_atomic(Path::new(out), &buf).map_err(|e| CliError::Io(format!("write {out}: {e}")))?;
     println!(
         "wrote {} requests over {} pages / {} users to {out} ({format})",
         trace.len(),
@@ -338,9 +348,9 @@ pub fn generate(args: &Args) -> Result<(), CliError> {
 }
 
 fn load_or_generate(args: &Args, scenario: &Scenario) -> Result<Trace, CliError> {
-    match args.str_or("trace", "") {
-        path if !path.is_empty() => {
-            let file = File::open(&path).map_err(|e| CliError::Io(format!("open {path}: {e}")))?;
+    match args.get_str("trace") {
+        Some(path) => {
+            let file = File::open(path).map_err(|e| CliError::Io(format!("open {path}: {e}")))?;
             let trace = read_trace_auto(BufReader::new(file))?;
             if trace.universe().num_users() != scenario.costs.num_users() {
                 return Err(CliError::Usage(format!(
@@ -352,11 +362,7 @@ fn load_or_generate(args: &Args, scenario: &Scenario) -> Result<Trace, CliError>
             }
             Ok(trace)
         }
-        _ => {
-            let len = scaled_usize(args, "len", 60_000)?;
-            let seed: u64 = uarg(args.num_or("seed", 7u64))?;
-            Ok(scenario.trace(len, seed))
-        }
+        None => Ok(scenario.trace(args.val("len"), args.val("seed"))),
     }
 }
 
@@ -365,18 +371,6 @@ fn feed_err(path: &str, e: TraceIoError) -> CliError {
     match e {
         TraceIoError::Io(io) => CliError::Io(format!("{path}: {io}")),
         TraceIoError::Parse(m) => CliError::Parse(format!("{path}: {m}")),
-    }
-}
-
-/// `--csv-flavor auto|msr|twitter` (`None` = sniff).
-fn csv_flavor_from_args(args: &Args) -> Result<Option<CsvFlavor>, CliError> {
-    match args.str_or("csv-flavor", "auto").as_str() {
-        "auto" => Ok(None),
-        "msr" => Ok(Some(CsvFlavor::Msr)),
-        "twitter" => Ok(Some(CsvFlavor::Twitter)),
-        other => Err(CliError::Usage(format!(
-            "unknown --csv-flavor '{other}' (auto, msr, twitter)"
-        ))),
     }
 }
 
@@ -397,12 +391,13 @@ impl Feed {
     /// tenant structure checked against the scenario's cost profile),
     /// else `len` requests of the scenario's mixer seeded with `seed`.
     fn open(args: &Args, scenario: &Scenario, len: u64, seed: u64) -> Result<Feed, CliError> {
-        let path = args.str_or("trace", "");
-        if path.is_empty() {
+        let Some(path) = args.get_str("trace") else {
             return Ok(Feed::Mix(scenario.stream(len, seed)));
-        }
-        let flavor = csv_flavor_from_args(args)?;
-        let feed = Feed::open_file(&path, flavor, Some(scenario.costs.num_users()))?;
+        };
+        let flavor = [CsvFlavor::Msr, CsvFlavor::Twitter]
+            .into_iter()
+            .find(|f| f.name() == args.str("csv-flavor"));
+        let feed = Feed::open_file(path, flavor, Some(scenario.costs.num_users()))?;
         // CSV tenants are hashed into the scenario's user count, so only
         // the binary formats can disagree.
         let users = RequestSource::universe(&feed).num_users();
@@ -536,45 +531,29 @@ impl SeekableSource for Feed {
     }
 }
 
-/// `occ trace` — pack / unpack / import.
-pub fn trace(args: &Args) -> Result<(), CliError> {
-    match args.action.as_deref() {
-        Some("pack") => trace_transcode(args, true),
-        Some("unpack") => trace_transcode(args, false),
-        Some("import") => trace_import(args),
-        Some(other) => Err(CliError::Usage(format!(
-            "unknown trace action '{other}' (pack, unpack, import)"
-        ))),
-        None => Err(CliError::Usage(
-            "occ trace needs an action: pack, unpack, or import".into(),
-        )),
-    }
-}
-
-/// Streaming transcode between the binary trace formats (`pack` writes
+/// `occ trace pack|unpack`: streaming transcode between the binary trace formats (`pack` writes
 /// occbin02, `unpack` writes occbin01). Reads chunk runs, never
 /// materializes the trace; text-format inputs are the one exception
 /// (they are parsed whole, which is what the text reader does anyway).
 fn trace_transcode(args: &Args, pack: bool) -> Result<(), CliError> {
-    let in_path = uarg(args.str_required("in"))?;
-    let out_path = uarg(args.str_required("out"))?;
-    let limit = uarg(args.scaled_or("limit", 0))?;
+    let (in_path, out_path) = (args.str("in"), args.str("out"));
+    let limit: u64 = args.val("limit");
 
-    let mut feed = match Feed::open_file(&in_path, None, None) {
+    let mut feed = match Feed::open_file(in_path, None, None) {
         Ok(f) => f,
         Err(CliError::Parse(_)) => {
             // Not binary and not CSV — maybe the v1 text format. Parse
             // it whole and re-serve it as runs.
             let file =
-                File::open(&in_path).map_err(|e| CliError::Io(format!("open {in_path}: {e}")))?;
-            let trace = read_trace_auto(BufReader::new(file)).map_err(|e| feed_err(&in_path, e))?;
+                File::open(in_path).map_err(|e| CliError::Io(format!("open {in_path}: {e}")))?;
+            let trace = read_trace_auto(BufReader::new(file)).map_err(|e| feed_err(in_path, e))?;
             let mut buf = Vec::new();
             if pack {
                 write_trace_binary_v2(&trace, &mut buf)?;
             } else {
                 write_trace_binary(&trace, &mut buf)?;
             }
-            return finish_transcode(&in_path, &out_path, buf, trace.len() as u64, pack);
+            return finish_transcode(in_path, out_path, buf, trace.len() as u64, pack);
         }
         Err(e) => return Err(e),
     };
@@ -595,14 +574,14 @@ fn trace_transcode(args: &Args, pack: bool) -> Result<(), CliError> {
         w.finish()?.into_inner()
     };
     if let Some(e) = feed.error() {
-        return Err(feed_err(&in_path, TraceIoError::Parse(e.to_string())));
+        return Err(feed_err(in_path, TraceIoError::Parse(e.to_string())));
     }
     if served != keep {
         return Err(CliError::Parse(format!(
             "{in_path}: trace ended after {served} of {keep} requests"
         )));
     }
-    finish_transcode(&in_path, &out_path, buf, keep, pack)
+    finish_transcode(in_path, out_path, buf, keep, pack)
 }
 
 /// Pull up to `keep` requests out of `feed` in runs and hand each to
@@ -687,46 +666,40 @@ fn finish_transcode(
 
 /// `occ trace import` — CSV → binary trace + recorded key dictionary.
 fn trace_import(args: &Args) -> Result<(), CliError> {
-    let in_path = uarg(args.str_required("in"))?;
-    let out_path = uarg(args.str_required("out"))?;
-    let dict_path = args.str_or("dict", &format!("{out_path}.dict"));
-    let flavor = csv_flavor_from_args(args)?;
-    let tenants: u32 = uarg(args.num_or("tenants", 0u32))?;
-    let tenants = if tenants == 0 { None } else { Some(tenants) };
-    let format = args.str_or("format", "binary-v2");
+    let (in_path, out_path) = (args.str("in"), args.str("out"));
+    let dict_path = args
+        .get_str("dict")
+        .map_or_else(|| format!("{out_path}.dict"), String::from);
+    let flavor = [CsvFlavor::Msr, CsvFlavor::Twitter]
+        .into_iter()
+        .find(|f| f.name() == args.str("csv-flavor"));
+    let tenants = Some(args.val::<u32>("tenants")).filter(|&t| t > 0);
+    let format = args.str("format");
 
-    let mut csv = CsvAdapter::open(Path::new(&in_path), flavor, tenants)
-        .map_err(|e| feed_err(&in_path, e))?;
+    let mut csv =
+        CsvAdapter::open(Path::new(in_path), flavor, tenants).map_err(|e| feed_err(in_path, e))?;
     let universe = RequestSource::universe(&csv).clone();
     let total = csv.total_requests();
 
-    let buf = match format.as_str() {
-        "binary-v2" => {
-            let mut w = Binary2TraceWriter::new(universe.clone(), total, Vec::new())?;
-            while let Some(req) = csv.pull() {
-                w.push(req)?;
-            }
-            w.finish()?
+    let buf = if format == "binary" {
+        let mut w = BinaryTraceWriter::new(universe.clone(), std::io::Cursor::new(Vec::new()))?;
+        while let Some(req) = csv.pull() {
+            w.push(req)?;
         }
-        "binary" => {
-            let mut w = BinaryTraceWriter::new(universe.clone(), std::io::Cursor::new(Vec::new()))?;
-            while let Some(req) = csv.pull() {
-                w.push(req)?;
-            }
-            w.finish()?.into_inner()
+        w.finish()?.into_inner()
+    } else {
+        let mut w = Binary2TraceWriter::new(universe.clone(), total, Vec::new())?;
+        while let Some(req) = csv.pull() {
+            w.push(req)?;
         }
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown trace format '{other}' (expected binary or binary-v2)"
-            )))
-        }
+        w.finish()?
     };
     if let Some(e) = csv.error() {
-        return Err(feed_err(&in_path, TraceIoError::Parse(e.to_string())));
+        return Err(feed_err(in_path, TraceIoError::Parse(e.to_string())));
     }
     let mut dict_buf = Vec::new();
     csv.key_dict().write_to(&mut dict_buf)?;
-    write_atomic(Path::new(&out_path), &buf)
+    write_atomic(Path::new(out_path), &buf)
         .map_err(|e| CliError::Io(format!("write {out_path}: {e}")))?;
     write_atomic(Path::new(&dict_path), &dict_buf)
         .map_err(|e| CliError::Io(format!("write {dict_path}: {e}")))?;
@@ -735,10 +708,7 @@ fn trace_import(args: &Args) -> Result<(), CliError> {
          dictionary: {dict_path} ({} keys)",
         universe.num_pages(),
         universe.num_users(),
-        match csv.flavor() {
-            CsvFlavor::Msr => "msr",
-            CsvFlavor::Twitter => "twitter",
-        },
+        csv.flavor().name(),
         buf.len(),
         csv.key_dict().len(),
     );
@@ -747,10 +717,10 @@ fn trace_import(args: &Args) -> Result<(), CliError> {
 
 /// `occ run`
 pub fn run(args: &Args) -> Result<(), CliError> {
-    let scenario = find_scenario(&uarg(args.str_required("scenario"))?)?;
+    let scenario = find_scenario(args.str("scenario"))?;
     let trace = load_or_generate(args, &scenario)?;
-    let k = k_arg(args, "k", scenario.suggested_k)?;
-    let policy = uarg(policies::find(&args.str_or("policy", "convex")))?;
+    let k = args.get("k").unwrap_or(scenario.suggested_k);
+    let policy = policies::find(args.str("policy")).map_err(CliError::Usage)?;
     let mut policy = policy.build(&scenario.costs, &trace);
     let report = evaluate_policy(&mut policy, &trace, k, &scenario.costs);
 
@@ -776,9 +746,9 @@ pub fn run(args: &Args) -> Result<(), CliError> {
 
 /// `occ compare`
 pub fn compare(args: &Args) -> Result<(), CliError> {
-    let scenario = find_scenario(&uarg(args.str_required("scenario"))?)?;
+    let scenario = find_scenario(args.str("scenario"))?;
     let trace = load_or_generate(args, &scenario)?;
-    let k = k_arg(args, "k", scenario.suggested_k)?;
+    let k = args.get("k").unwrap_or(scenario.suggested_k);
 
     let mut suite = policies::online_suite(&scenario.costs);
     let mut reports = compare_policies(&mut suite, &trace, k, &scenario.costs);
@@ -800,9 +770,9 @@ pub fn compare(args: &Args) -> Result<(), CliError> {
 
 /// `occ mrc`
 pub fn mrc(args: &Args) -> Result<(), CliError> {
-    let scenario = find_scenario(&uarg(args.str_required("scenario"))?)?;
+    let scenario = find_scenario(args.str("scenario"))?;
     let trace = load_or_generate(args, &scenario)?;
-    let max_k = k_arg(args, "max-k", scenario.suggested_k * 2)?;
+    let max_k = args.get("max-k").unwrap_or(scenario.suggested_k * 2);
     let curve = lru_mrc(&trace, max_k);
     let costs = lru_cost_curve(&curve, &scenario.costs);
 
@@ -822,60 +792,44 @@ pub fn mrc(args: &Args) -> Result<(), CliError> {
 
 /// `occ fleet`
 pub fn fleet(args: &Args) -> Result<(), CliError> {
-    let scenario = find_scenario(&uarg(args.str_required("scenario"))?)?;
-    let shards: usize = uarg(args.num_or("shards", 4usize))?;
-    if shards == 0 {
-        return Err(CliError::Usage("a fleet needs at least one shard".into()));
-    }
-    let len: u64 = uarg(args.scaled_or("len", 60_000))?;
-    let seed: u64 = uarg(args.num_or("seed", 7u64))?;
-    let k = k_arg(args, "k", scenario.suggested_k)?;
-    let batch: usize = uarg(args.num_or("batch", occ_sim::DEFAULT_BATCH_SIZE))?;
-    if batch == 0 {
-        return Err(CliError::Usage("--batch must be positive".into()));
-    }
-    let name = args.str_or("policy", "lru");
-    let (policy_name, make_policy) = uarg(online_policy(&name, "the fleet", false))?;
-
-    let window = uarg(args.scaled_or("window", 0))?;
+    let scenario = find_scenario(args.str("scenario"))?;
+    let shards: usize = args.val("shards");
+    let (len, seed, window): (u64, u64, u64) =
+        (args.val("len"), args.val("seed"), args.val("window"));
+    let k = args.get("k").unwrap_or(scenario.suggested_k);
+    let batch: usize = args.val("batch");
+    let (policy_name, make_policy) =
+        online_policy(args.str("policy"), "the fleet", false).map_err(CliError::Usage)?;
 
     // Supervision flags. Any of them implies the supervised engine
     // (per-shard panic isolation + checkpoint/restart); `--supervise on`
     // forces it for a plain run too, e.g. to get the supervisor section
     // in the report.
-    let kills: Vec<ShardKill> = parse_chaos_plan(
-        &args.str_or("chaos-shard-kill", ""),
-        shards,
-        "chaos-shard-kill",
-    )?
-    .into_iter()
-    .map(|(shard, at)| ShardKill { shard, at })
-    .collect();
-    let store_faults: Vec<StoreFault> = parse_chaos_plan(
-        &args.str_or("chaos-store-fail", ""),
-        shards,
-        "chaos-store-fail",
-    )?
-    .into_iter()
-    .map(|(shard, nth)| StoreFault { shard, nth })
-    .collect();
+    let kills: Vec<ShardKill> = parse_chaos_plan(args, shards, "chaos-shard-kill")?
+        .into_iter()
+        .map(|(shard, at)| ShardKill { shard, at })
+        .collect();
+    let store_faults: Vec<StoreFault> = parse_chaos_plan(args, shards, "chaos-store-fail")?
+        .into_iter()
+        .map(|(shard, nth)| StoreFault { shard, nth })
+        .collect();
     if let Some(f) = store_faults.iter().find(|f| f.nth == 0) {
         return Err(CliError::Usage(format!(
             "--chaos-store-fail counts checkpoint saves from 1; '{}@0' never fires",
             f.shard
         )));
     }
-    let max_restarts: u32 = uarg(args.num_or("max-restarts", 3u32))?;
-    let backoff_ms: u64 = uarg(args.num_or("backoff-ms", 0u64))?;
-    let ckpt_dir = args.str_or("checkpoint-dir", "");
-    let from_dir = args.str_or("from-dir", "");
-    let series_out = args.str_or("series-out", "");
+    let max_restarts: u32 = args.val("max-restarts");
+    let backoff_ms: u64 = args.val("backoff-ms");
+    let ckpt_dir = args.get_str("checkpoint-dir");
+    let from_dir = args.get_str("from-dir");
+    let series_out = args.get_str("series-out");
     let wants_supervision = !kills.is_empty()
         || !store_faults.is_empty()
-        || !ckpt_dir.is_empty()
-        || !from_dir.is_empty()
-        || !series_out.is_empty();
-    let supervised = match args.str_or("supervise", "auto").as_str() {
+        || ckpt_dir.is_some()
+        || from_dir.is_some()
+        || series_out.is_some();
+    let supervised = match args.str("supervise") {
         "on" => true,
         "off" if wants_supervision => {
             return Err(CliError::Usage(
@@ -885,20 +839,15 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
             ))
         }
         "off" => false,
-        "auto" => wants_supervision,
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown --supervise mode '{other}' (on, off, auto)"
-            )))
-        }
+        _ => wants_supervision,
     };
     if supervised && window == 0 {
         return Err(CliError::Usage(
             "supervised fleet runs checkpoint on window boundaries; pass --window W".into(),
         ));
     }
-    let trace_path = args.str_or("trace", "");
-    if supervised && !trace_path.is_empty() {
+    let trace_path = args.get_str("trace");
+    if supervised && trace_path.is_some() {
         return Err(CliError::Usage(
             "--trace drives unsupervised fleets only; drop the supervision flags \
              or replay the trace through `occ soak --trace`"
@@ -924,19 +873,19 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
         // reached its first checkpoint: it starts fresh. A corrupt one
         // is exit 4, before any thread spawns.
         let mut resume_index = vec![0u64; shards];
-        if !from_dir.is_empty() {
+        if let Some(from_dir) = from_dir {
             let probe = scenario.stream(len, seed);
             let owners = probe.universe().owners();
             let mut resume = Vec::with_capacity(shards);
             for (i, slot) in resume_index.iter_mut().enumerate() {
-                let path = DirPersist::ckpt_path(Path::new(&from_dir), i);
+                let path = DirPersist::ckpt_path(Path::new(from_dir), i);
                 if !path.exists() {
                     resume.push(None);
                     continue;
                 }
                 let snap = read_checkpoint(&path)?;
                 let label = path.display().to_string();
-                snapshot_k(args, &snap, &label, owners, len, window, true, k)?;
+                check_snapshot(&snap, &label, owners, len, window, true, k)?;
                 *slot = snap.time / window;
                 resume.push(Some(snap));
             }
@@ -954,14 +903,13 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
         // problems are classified errors here, not worker panics.
         let mut persists: Vec<Option<Box<dyn ShardPersist>>> = Vec::with_capacity(shards);
         for (i, &idx) in resume_index.iter().enumerate() {
-            persists.push(Some(if ckpt_dir.is_empty() {
-                Box::new(NoPersist)
-            } else {
-                Box::new(
-                    DirPersist::open(Path::new(&ckpt_dir), i, window, idx, &meta).map_err(|e| {
-                        CliError::Io(format!("open checkpoint dir {ckpt_dir} for shard {i}: {e}"))
+            persists.push(Some(match ckpt_dir {
+                None => Box::new(NoPersist),
+                Some(dir) => Box::new(
+                    DirPersist::open(Path::new(dir), i, window, idx, &meta).map_err(|e| {
+                        CliError::Io(format!("open checkpoint dir {dir} for shard {i}: {e}"))
                     })?,
-                )
+                ),
             }));
         }
         let persists = std::sync::Mutex::new(persists);
@@ -977,14 +925,14 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
             },
         );
 
-        if !series_out.is_empty() {
+        if let Some(series_out) = series_out {
             let series = report
                 .merged_series
                 .as_ref()
                 .expect("supervised runs always carry a window series");
             let ioerr = |e: std::io::Error| CliError::Io(format!("write {series_out}: {e}"));
             let mut s =
-                SeriesSink::new(AtomicWriter::create(Path::new(&series_out)).map_err(ioerr)?);
+                SeriesSink::new(AtomicWriter::create(Path::new(series_out)).map_err(ioerr)?);
             s.write_header(window, &meta);
             for w in &series.windows {
                 s.write_window(w);
@@ -1005,74 +953,64 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
         let sources = (0..shards)
             .map(|i| Feed::open(args, &scenario, len, shard_seed(i)))
             .collect::<Result<Vec<_>, _>>()?;
-        if let Some(strategy) = sources[0].strategy() {
+        if let (Some(strategy), Some(path)) = (sources[0].strategy(), trace_path) {
             eprintln!(
-                "fleet: replaying {trace_path} ({} requests) on every shard \
-                 via the {strategy} path",
+                "fleet: replaying {path} ({} requests) on every shard via the {strategy} path",
                 sources[0].total_requests(),
             );
         }
         run_fleet(sources, &cfg, |_| make_policy(costs))
     };
 
-    let json = report.to_json_value();
-    if let Some(out) = Some(args.str_or("out", "")).filter(|p| !p.is_empty()) {
-        write_atomic(Path::new(&out), (json.to_json() + "\n").as_bytes())
-            .map_err(|e| CliError::Io(format!("write {out}: {e}")))?;
-    }
-    match args.str_or("format", "table").as_str() {
-        "json" => emit(&json.to_json()),
-        "table" => {
-            let mut head = vec!["shard", "requests", "hits", "misses", "req/s"];
-            if report.supervisor.is_some() {
-                head.extend(["state", "restarts"]);
-            }
-            let mut t = Table::new(head);
-            for s in &report.shards {
-                let mut row = vec![
-                    s.shard.to_string(),
-                    s.served.to_string(),
-                    s.stats.total_hits().to_string(),
-                    s.stats.total_misses().to_string(),
-                    fnum(s.requests_per_sec()),
-                ];
-                if let Some(sup) = &report.supervisor {
-                    let st = &sup.shards[s.shard];
-                    row.push(st.state.as_str().to_string());
-                    row.push(st.restarts.to_string());
-                }
-                t.row(row);
-            }
-            emit(&t.to_markdown());
-            emit(&format!(
-                "fleet: {} shards x {len} requests ({policy_name}, k={k}, batch={batch}) — \
-                 {} requests in {:.1} ms, aggregate {} req/s",
-                shards,
-                report.total_requests,
-                report.wall.as_secs_f64() * 1e3,
-                fnum(report.aggregate_requests_per_sec()),
-            ));
-            if let Some(series) = &report.merged_series {
-                let total = series.total();
-                emit(&format!(
-                    "windows: {} of width {} merged across shards · overall miss ratio {:.3}",
-                    series.windows.len(),
-                    series.width,
-                    total.miss_ratio()
-                ));
-            }
-            if let Some(sup) = &report.supervisor {
-                emit(&format!(
-                    "supervisor: {} restarts absorbed, {} of {shards} shards quarantined",
-                    sup.total_restarts(),
-                    sup.quarantined().len()
-                ));
-            }
+    let json = report.to_json_value().to_json();
+    write_out(args, &json)?;
+    if args.str("format") == "json" {
+        emit(&json);
+    } else {
+        let mut head = vec!["shard", "requests", "hits", "misses", "req/s"];
+        if report.supervisor.is_some() {
+            head.extend(["state", "restarts"]);
         }
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown format '{other}' (expected table or json)"
-            )))
+        let mut t = Table::new(head);
+        for s in &report.shards {
+            let mut row = vec![
+                s.shard.to_string(),
+                s.served.to_string(),
+                s.stats.total_hits().to_string(),
+                s.stats.total_misses().to_string(),
+                fnum(s.requests_per_sec()),
+            ];
+            if let Some(sup) = &report.supervisor {
+                let st = &sup.shards[s.shard];
+                row.push(st.state.as_str().to_string());
+                row.push(st.restarts.to_string());
+            }
+            t.row(row);
+        }
+        emit(&t.to_markdown());
+        emit(&format!(
+            "fleet: {} shards x {len} requests ({policy_name}, k={k}, batch={batch}) — \
+                 {} requests in {:.1} ms, aggregate {} req/s",
+            shards,
+            report.total_requests,
+            report.wall.as_secs_f64() * 1e3,
+            fnum(report.aggregate_requests_per_sec()),
+        ));
+        if let Some(series) = &report.merged_series {
+            let total = series.total();
+            emit(&format!(
+                "windows: {} of width {} merged across shards · overall miss ratio {:.3}",
+                series.windows.len(),
+                series.width,
+                total.miss_ratio()
+            ));
+        }
+        if let Some(sup) = &report.supervisor {
+            emit(&format!(
+                "supervisor: {} restarts absorbed, {} of {shards} shards quarantined",
+                sup.total_restarts(),
+                sup.quarantined().len()
+            ));
         }
     }
     if let Some(sup) = &report.supervisor {
@@ -1088,11 +1026,6 @@ pub fn fleet(args: &Args) -> Result<(), CliError> {
     }
     Ok(())
 }
-
-/// Most worker threads `occ concurrent` starts. Each is an OS thread;
-/// without a bound one flag could exhaust the pid limit, and the shared
-/// engine panics when the OS refuses a thread.
-const MAX_THREADS: usize = 1024;
 
 /// First line of a `--schedule-out` file. The header carries everything
 /// `--replay` needs to rebuild the engine, so a schedule file is
@@ -1198,55 +1131,27 @@ fn faults_json(c: &FaultCounters) -> Json {
 
 /// `occ concurrent`
 pub fn concurrent(args: &Args) -> Result<(), CliError> {
-    let replay_path = args.str_or("replay", "");
-    if !replay_path.is_empty() {
-        return concurrent_replay(args, &replay_path);
-    }
+    let scenario = find_scenario(args.str("scenario"))?;
+    let (threads, table_shards): (usize, usize) = (args.val("threads"), args.val("table-shards"));
+    let (len, seed): (u64, u64) = (args.val("len"), args.val("seed"));
+    let k = args.get("k").unwrap_or(scenario.suggested_k);
+    let (policy_name, make_policy) =
+        online_policy(args.str("policy"), "occ concurrent", true).map_err(CliError::Usage)?;
 
-    let scenario = find_scenario(&uarg(args.str_required("scenario"))?)?;
-    let threads: usize = uarg(args.num_or("threads", 4usize))?;
-    if !(1..=MAX_THREADS).contains(&threads) {
-        return Err(CliError::Usage(format!(
-            "--threads must be in 1..={MAX_THREADS}: every worker is an OS thread"
-        )));
-    }
-    let table_shards: usize = uarg(args.num_or("table-shards", 8usize))?;
-    if table_shards == 0 {
-        return Err(CliError::Usage(
-            "--table-shards must be positive (S=1 degenerates to one big lock, \
-             which is allowed)"
-                .into(),
-        ));
-    }
-    let len: u64 = uarg(args.scaled_or("len", 20_000))?;
-    let seed: u64 = uarg(args.num_or("seed", 7u64))?;
-    let k = k_arg(args, "k", scenario.suggested_k)?;
-    let name = args.str_or("policy", "lru");
-    let (policy_name, make_policy) = uarg(online_policy(&name, "occ concurrent", true))?;
-    let verify = match args.str_or("verify", "on").as_str() {
-        "on" => true,
-        "off" => false,
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown --verify mode '{other}' (on, off)"
-            )))
-        }
-    };
-
-    let plan = chaos_plan(args)?;
+    let plan = chaos_plan(args);
     let chaos_active = !plan.is_clean();
-    let degrade = degrade_from_args(args, chaos_active)?.unwrap_or(FaultPolicy::SkipAndCount);
+    let degrade = degrade(args, chaos_active).unwrap_or(FaultPolicy::SkipAndCount);
 
     let mut cfg = SharedConfig::new(k);
     cfg.table_shards = table_shards;
     cfg.degrade = degrade;
-    cfg.verify = verify;
+    cfg.verify = args.val("verify");
 
     let costs = &scenario.costs;
     // Same derivation as the plain fleet: decorrelated, reproducible.
     let thread_seed = |t: usize| seed ^ (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    let trace_path = args.str_or("trace", "");
-    if chaos_active && !trace_path.is_empty() {
+    let trace_path = args.get_str("trace");
+    if chaos_active && trace_path.is_some() {
         return Err(CliError::Usage(
             "the --chaos-* flags corrupt the synthetic stream and do not combine \
              with --trace"
@@ -1272,9 +1177,9 @@ pub fn concurrent(args: &Args) -> Result<(), CliError> {
         let mut sources = (0..threads)
             .map(|t| Feed::open(args, &scenario, len, thread_seed(t)))
             .collect::<Result<Vec<_>, _>>()?;
-        if let Some(strategy) = sources[0].strategy() {
+        if let (Some(strategy), Some(path)) = (sources[0].strategy(), trace_path) {
             eprintln!(
-                "concurrent: replaying {trace_path} ({} requests) on every thread \
+                "concurrent: replaying {path} ({} requests) on every thread \
                  via the {strategy} path",
                 sources[0].total_requests(),
             );
@@ -1287,8 +1192,7 @@ pub fn concurrent(args: &Args) -> Result<(), CliError> {
         SharedError::Replay(e) => CliError::Fault(format!("deterministic replay gate: {e}")),
     })?;
 
-    let sched_out = args.str_or("schedule-out", "");
-    if !sched_out.is_empty() {
+    if let Some(sched_out) = args.get_str("schedule-out") {
         use std::io::Write as _;
         let header = schedule_header(
             scenario.name,
@@ -1299,7 +1203,7 @@ pub fn concurrent(args: &Args) -> Result<(), CliError> {
             degrade,
         );
         let write = || {
-            let mut w = AtomicWriter::create(Path::new(&sched_out))?;
+            let mut w = AtomicWriter::create(Path::new(sched_out))?;
             writeln!(w, "{header}")?;
             for e in report.outcome.schedule.entries() {
                 writeln!(w, "{}", e.to_line())?;
@@ -1313,62 +1217,53 @@ pub fn concurrent(args: &Args) -> Result<(), CliError> {
         );
     }
 
-    let json = report.to_json_value();
-    let out_path = args.str_or("out", "");
-    if !out_path.is_empty() {
-        write_atomic(Path::new(&out_path), (json.to_json() + "\n").as_bytes())
-            .map_err(|e| CliError::Io(format!("write {out_path}: {e}")))?;
-    }
-    match args.str_or("format", "table").as_str() {
-        "json" => emit(&json.to_json()),
-        "table" => {
-            let mut t = Table::new(vec!["thread", "hits", "misses", "evictions", "dropped"]);
-            for (i, (stats, counters)) in report.outcome.per_thread.iter().enumerate() {
-                t.row(vec![
-                    i.to_string(),
-                    stats.total_hits().to_string(),
-                    stats.total_misses().to_string(),
-                    stats.total_evictions().to_string(),
-                    counters.total_records().to_string(),
-                ]);
-            }
-            emit(&t.to_markdown());
-            emit(&format!(
-                "concurrent: {threads} threads x {len} requests on one k={k} cache \
+    let json = report.to_json_value().to_json();
+    write_out(args, &json)?;
+    if args.str("format") == "json" {
+        emit(&json);
+    } else {
+        let mut t = Table::new(vec!["thread", "hits", "misses", "evictions", "dropped"]);
+        for (i, (stats, counters)) in report.outcome.per_thread.iter().enumerate() {
+            t.row(vec![
+                i.to_string(),
+                stats.total_hits().to_string(),
+                stats.total_misses().to_string(),
+                stats.total_evictions().to_string(),
+                counters.total_records().to_string(),
+            ]);
+        }
+        emit(&t.to_markdown());
+        emit(&format!(
+            "concurrent: {threads} threads x {len} requests on one k={k} cache \
                  ({} segments, {policy_name}, degrade={}) — {} commits in {:.1} ms, {} req/s",
-                table_shards,
-                degrade.name(),
-                report.outcome.schedule.len(),
-                report.wall.as_secs_f64() * 1e3,
-                fnum(report.requests_per_sec()),
-            ));
-            let c = &report.outcome.counters;
-            if !c.is_clean() {
-                emit(&format!(
-                    "faults: {} bad pages, {} wrong owners, {} quarantine drops; \
+            table_shards,
+            degrade.name(),
+            report.outcome.schedule.len(),
+            report.wall.as_secs_f64() * 1e3,
+            fnum(report.requests_per_sec()),
+        ));
+        let c = &report.outcome.counters;
+        if !c.is_clean() {
+            emit(&format!(
+                "faults: {} bad pages, {} wrong owners, {} quarantine drops; \
                      {} users quarantined",
-                    c.page_out_of_range, c.owner_mismatch, c.quarantined_drops, c.quarantined_users,
-                ));
-            }
-            emit(match &report.replay {
-                Some(_) => {
-                    "replay: verified identical (single-thread replay of the \
+                c.page_out_of_range, c.owner_mismatch, c.quarantined_drops, c.quarantined_users,
+            ));
+        }
+        emit(match &report.replay {
+            Some(_) => {
+                "replay: verified identical (single-thread replay of the \
                             commit schedule reproduced every per-user vector)"
-                }
-                None => "replay: skipped (--verify off); the schedule was still recorded",
-            });
-        }
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown format '{other}' (expected table or json)"
-            )))
-        }
+            }
+            None => "replay: skipped (--verify off); the schedule was still recorded",
+        });
     }
     Ok(())
 }
 
 /// `occ concurrent --replay FILE`
-fn concurrent_replay(args: &Args, path: &str) -> Result<(), CliError> {
+fn concurrent_replay(args: &Args) -> Result<(), CliError> {
+    let path = args.str("replay");
     let text =
         std::fs::read_to_string(path).map_err(|e| CliError::Io(format!("read {path}: {e}")))?;
     let body = require_trailer(&text).map_err(|m| CliError::Parse(format!("{path}: {m}")))?;
@@ -1423,41 +1318,45 @@ fn concurrent_replay(args: &Args, path: &str) -> Result<(), CliError> {
         ("quarantined".into(), Json::Arr(quarantined)),
         ("wall_ms".into(), Json::Num(wall.as_secs_f64() * 1e3)),
     ]);
-    let out_path = args.str_or("out", "");
-    if !out_path.is_empty() {
-        write_atomic(Path::new(&out_path), (json.to_json() + "\n").as_bytes())
-            .map_err(|e| CliError::Io(format!("write {out_path}: {e}")))?;
-    }
-    match args.str_or("format", "table").as_str() {
-        "json" => emit(&json.to_json()),
-        "table" => {
-            emit(&format!(
-                "replayed {} commits of '{}' ({}, k={}, {} segments): \
+    let json = json.to_json();
+    write_out(args, &json)?;
+    if args.str("format") == "json" {
+        emit(&json);
+    } else {
+        emit(&format!(
+            "replayed {} commits of '{}' ({}, k={}, {} segments): \
                  {} hits, {} misses, {} evictions, {} dropped",
-                schedule.len(),
-                meta.scenario,
-                meta.policy,
-                meta.k,
-                meta.table_shards,
-                outcome.stats.total_hits(),
-                outcome.stats.total_misses(),
-                outcome.stats.total_evictions(),
-                outcome.counters.total_records(),
-            ));
-        }
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown format '{other}' (expected table or json)"
-            )))
-        }
+            schedule.len(),
+            meta.scenario,
+            meta.policy,
+            meta.k,
+            meta.table_shards,
+            outcome.stats.total_hits(),
+            outcome.stats.total_misses(),
+            outcome.stats.total_evictions(),
+            outcome.counters.total_records(),
+        ));
     }
     Ok(())
 }
 
-/// Parse a seeded chaos plan like `"1@250k,2@1M"` into `(shard, n)`
-/// pairs, validating the shard indices against the fleet size.
-fn parse_chaos_plan(text: &str, shards: usize, flag: &str) -> Result<Vec<(usize, u64)>, CliError> {
+/// Write `text` and a newline to the `--out` file, if one was given,
+/// and return its path.
+fn write_out<'a>(args: &'a Args, text: &str) -> Result<Option<&'a str>, CliError> {
+    let Some(out) = args.get_str("out") else {
+        return Ok(None);
+    };
+    write_atomic(Path::new(out), format!("{text}\n").as_bytes())
+        .map_err(|e| CliError::Io(format!("write {out}: {e}")))?;
+    Ok(Some(out))
+}
+
+/// Parse the seeded chaos plan in `--flag`, like `"1@250k,2@1M"`, into
+/// `(shard, n)` pairs, validating the shard indices against the fleet
+/// size.
+fn parse_chaos_plan(args: &Args, shards: usize, flag: &str) -> Result<Vec<(usize, u64)>, CliError> {
     let mut out = Vec::new();
+    let text = args.get_str(flag).unwrap_or_default();
     for item in text.split(',').map(str::trim).filter(|s| !s.is_empty()) {
         let (shard, n) = item.split_once('@').ok_or_else(|| {
             CliError::Usage(format!("bad --{flag} entry '{item}' (want SHARD@N)"))
@@ -1609,38 +1508,24 @@ fn observe_policy<P: ReplacementPolicy>(
     }
 }
 
-/// Parse the `--chaos-*` flags (observe, resume and concurrent) into a
-/// seeded fault plan, clean when no fault injection was requested.
-fn chaos_plan(args: &Args) -> Result<FaultPlan, CliError> {
-    let page_rate: f64 = uarg(args.num_or("chaos-page-rate", 0.0f64))?;
-    let owner_rate: f64 = uarg(args.num_or("chaos-owner-rate", 0.0f64))?;
-    let truncate: u64 = uarg(args.scaled_or("chaos-truncate", 0))?;
-    let seed: u64 = uarg(args.num_or("chaos-seed", 0xC4A05u64))?;
-    for (name, rate) in [
-        ("chaos-page-rate", page_rate),
-        ("chaos-owner-rate", owner_rate),
-    ] {
-        if !(0.0..=1.0).contains(&rate) {
-            return Err(CliError::Usage(format!(
-                "--{name} must be in [0, 1], got {rate}"
-            )));
-        }
-    }
-    let plan = FaultPlan::seeded(seed)
-        .with_page_rate(page_rate)
-        .with_owner_rate(owner_rate);
-    Ok(match truncate {
+/// The seeded fault plan of the `--chaos-*` flags (observe, resume and
+/// concurrent), clean when no fault injection was requested.
+fn chaos_plan(args: &Args) -> FaultPlan {
+    let plan = FaultPlan::seeded(args.val("chaos-seed"))
+        .with_page_rate(args.val("chaos-page-rate"))
+        .with_owner_rate(args.val("chaos-owner-rate"));
+    match args.val("chaos-truncate") {
         0 => plan,
-        n => plan.with_truncate_at(n as usize),
-    })
+        n => plan.with_truncate_at(n),
+    }
 }
 
 /// Apply the `--chaos-*` fault plan to the trace; `true` when it is not
 /// clean.
-fn chaos_records(args: &Args, trace: &Trace) -> Result<(Vec<Request>, bool), CliError> {
-    let plan = chaos_plan(args)?;
+fn chaos_records(args: &Args, trace: &Trace) -> (Vec<Request>, bool) {
+    let plan = chaos_plan(args);
     if plan.is_clean() {
-        return Ok((trace.requests().to_vec(), false));
+        return (trace.requests().to_vec(), false);
     }
     let (records, injected) = plan.corrupt_trace(trace);
     eprintln!(
@@ -1654,19 +1539,15 @@ fn chaos_records(args: &Args, trace: &Trace) -> Result<(Vec<Request>, bool), Cli
         },
         plan.seed,
     );
-    Ok((records, true))
+    (records, true)
 }
 
-/// Parse `--degrade`: explicit flag wins; chaos injection without a flag
+/// `--degrade`: explicit flag wins; chaos injection without a flag
 /// defaults to fail-fast (the library default), surfaced loudly.
-fn degrade_from_args(args: &Args, chaos_active: bool) -> Result<Option<FaultPolicy>, CliError> {
-    match args.str_or("degrade", "").as_str() {
-        "" => Ok(chaos_active.then_some(FaultPolicy::FailFast)),
-        name => FaultPolicy::parse(name).map(Some).ok_or_else(|| {
-            CliError::Usage(format!(
-                "unknown --degrade policy '{name}' (fail-fast, skip, quarantine)"
-            ))
-        }),
+fn degrade(args: &Args, chaos_active: bool) -> Option<FaultPolicy> {
+    match args.get_str("degrade") {
+        Some(name) => Some(FaultPolicy::parse(name).expect("--degrade choices are policy names")),
+        None => chaos_active.then_some(FaultPolicy::FailFast),
     }
 }
 
@@ -1707,19 +1588,17 @@ fn build_report(
 /// Check that checkpoint `snap` (`label` in errors) can continue a run
 /// over a stream of `len` requests with page `owners` that closes a
 /// window every `window` requests (0: no windows) and, if `degraded_ok`,
-/// restores fault state. Returns the cache size: the snapshot's
-/// capacity, which `--k` (default `default_k`) must match.
-#[allow(clippy::too_many_arguments)]
-fn snapshot_k(
-    args: &Args,
+/// restores fault state, with a cache of `k` slots, which must be its
+/// capacity.
+fn check_snapshot(
     snap: &EngineSnapshot,
     label: &str,
     owners: &[UserId],
     len: u64,
     window: u64,
     degraded_ok: bool,
-    default_k: usize,
-) -> Result<usize, CliError> {
+    k: usize,
+) -> Result<(), CliError> {
     let degraded = !(snap.faults.is_clean() && snap.quarantined.is_empty());
     let problem = if owners != snap.owners.as_slice() {
         format!(
@@ -1738,11 +1617,9 @@ fn snapshot_k(
         format!("t={} is mid-window for --window {window}", snap.time)
     } else if degraded && !degraded_ok {
         "it comes from a degraded run; continue it with `occ resume --degrade ...`".into()
+    } else if k == snap.capacity {
+        return Ok(());
     } else {
-        let k = k_arg(args, "k", default_k)?;
-        if k == snap.capacity {
-            return Ok(k);
-        }
         format!("--k {k} disagrees with its capacity {}", snap.capacity)
     };
     Err(CliError::Usage(format!(
@@ -1750,54 +1627,40 @@ fn snapshot_k(
     )))
 }
 
-/// `occ observe`
-pub fn observe(args: &Args) -> Result<(), CliError> {
-    observe_run(args, None)
-}
-
-/// `occ resume`
-pub fn resume(args: &Args) -> Result<(), CliError> {
-    let from = uarg(args.str_required("from"))?;
-    observe_run(args, Some(read_checkpoint(Path::new(&from))?))
-}
-
 /// `occ observe` and `occ resume`: run one policy over the scenario's
 /// trace with full instrumentation and emit the report. `snap` continues
 /// a checkpointed run (`occ resume`) instead of starting fresh.
 fn observe_run(args: &Args, snap: Option<EngineSnapshot>) -> Result<(), CliError> {
-    let scenario = find_scenario(&uarg(args.str_required("scenario"))?)?;
+    let scenario = find_scenario(args.str("scenario"))?;
     let trace = load_or_generate(args, &scenario)?;
-    let policy = uarg(policies::find(&args.str_or("policy", "convex")))?;
-    let every: u64 = uarg(args.num_or("every", 1_000u64))?;
-    let events_path = args.str_or("events", "");
-    let out_path = args.str_or("out", "");
-    let checkpoint_path = args.str_or("checkpoint", "");
-    let checkpoint_every: u64 = uarg(args.num_or("checkpoint-every", 10_000u64))?;
+    let policy = policies::find(args.str("policy")).map_err(CliError::Usage)?;
+    let checkpoint_path = args.get_str("checkpoint").unwrap_or_default();
+    let checkpoint_every: u64 = args.val("checkpoint-every");
     if !checkpoint_path.is_empty() && checkpoint_every == 0 {
         return Err(CliError::Usage(
             "--checkpoint needs a positive --checkpoint-every".into(),
         ));
     }
 
-    let (records, chaos_active) = chaos_records(args, &trace)?;
-    let degrade = degrade_from_args(args, chaos_active)?;
+    let (records, chaos_active) = chaos_records(args, &trace);
+    let degrade = degrade(args, chaos_active);
     let (owners, resumable) = (trace.universe().owners(), degrade.is_some());
-    let k = match &snap {
-        Some(s) => {
-            let len = records.len() as u64;
-            snapshot_k(args, s, "checkpoint", owners, len, 0, resumable, s.capacity)?
-        }
-        None => k_arg(args, "k", scenario.suggested_k)?,
-    };
+    let k = args
+        .get("k")
+        .unwrap_or(snap.as_ref().map_or(scenario.suggested_k, |s| s.capacity));
+    if let Some(s) = &snap {
+        let len = records.len() as u64;
+        check_snapshot(s, "checkpoint", owners, len, 0, resumable, k)?;
+    }
     let opts = DriveOpts {
         k,
         universe: trace.universe(),
         records: &records,
         snap: snap.as_ref(),
-        events_path: &events_path,
+        events_path: args.get_str("events").unwrap_or_default(),
         degrade,
         checkpoint_every,
-        checkpoint_path: &checkpoint_path,
+        checkpoint_path,
     };
 
     let mut rec = MetricsRecorder::new();
@@ -1806,7 +1669,7 @@ fn observe_run(args: &Args, snap: Option<EngineSnapshot>) -> Result<(), CliError
     // ConvexCaching's state, which the boxed trait object hides.
     let (stats, steps, name, faults) = if policy.name == "convex" {
         let alg = ConvexCaching::new(scenario.costs.clone());
-        let mut dt = DualTrace::new(every);
+        let mut dt = DualTrace::new(args.val("every"));
         let out = observe_policy(alg, &mut rec, &opts, |t, p, fin| {
             if fin {
                 dt.finalize(t, p);
@@ -1839,12 +1702,9 @@ fn observe_run(args: &Args, snap: Option<EngineSnapshot>) -> Result<(), CliError
         );
     }
     let text = build_report(name, k, &stats, &scenario.costs, &rec, dual.as_ref())?.to_json();
-    if out_path.is_empty() {
-        emit(&text);
-    } else {
-        write_atomic(Path::new(&out_path), (text + "\n").as_bytes())
-            .map_err(|e| CliError::Io(format!("write {out_path}: {e}")))?;
-        eprintln!("wrote report to {out_path}");
+    match write_out(args, &text)? {
+        Some(out) => eprintln!("wrote report to {out}"),
+        None => emit(&text),
     }
     Ok(())
 }
@@ -1898,43 +1758,21 @@ fn rss_sample() -> Option<RssSample> {
 /// `occ soak`: a single attempt of the windowed shard driver, with no
 /// restarts.
 pub fn soak(args: &Args) -> Result<(), CliError> {
-    let scenario = find_scenario(&uarg(args.str_required("scenario"))?)?;
-    let len = uarg(args.scaled_or("len", 10_000_000))?;
-    let seed: u64 = uarg(args.num_or("seed", 7u64))?;
-    let window = uarg(args.scaled_or("window", 1_000_000))?;
-    if window == 0 {
-        return Err(CliError::Usage("--window must be positive".into()));
-    }
-    let name = args.str_or("policy", "convex");
-    let (policy_name, make_policy) = uarg(online_policy(&name, "soak", false))?;
-    let series_path = args.str_or("series", "");
-    let timed = match args.str_or("timing", "off").as_str() {
-        "on" => true,
-        "off" => false,
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown --timing mode '{other}' (on, off; timed windows carry wall-clock \
-                 latency histograms and are not byte-reproducible)"
-            )))
-        }
-    };
-    let heartbeat = match args.str_or("heartbeat", "on").as_str() {
-        "on" => true,
-        "off" => false,
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown --heartbeat mode '{other}' (on, off)"
-            )))
-        }
-    };
-    let checkpoint_path = args.str_or("checkpoint", "");
-    let mut checkpoint_every = uarg(args.scaled_or("checkpoint-every", 0))?;
-    if checkpoint_path.is_empty() && checkpoint_every > 0 {
+    let scenario = find_scenario(args.str("scenario"))?;
+    let (len, seed, window): (u64, u64, u64) =
+        (args.val("len"), args.val("seed"), args.val("window"));
+    let (policy_name, make_policy) =
+        online_policy(args.str("policy"), "soak", false).map_err(CliError::Usage)?;
+    let series_path = args.get_str("series");
+    let (timed, heartbeat): (bool, bool) = (args.val("timing"), args.val("heartbeat"));
+    let checkpoint_path = args.get_str("checkpoint");
+    let mut checkpoint_every: u64 = args.val("checkpoint-every");
+    if checkpoint_path.is_none() && checkpoint_every > 0 {
         return Err(CliError::Usage(
             "--checkpoint-every needs --checkpoint FILE to write to".into(),
         ));
     }
-    if !checkpoint_path.is_empty() && checkpoint_every == 0 {
+    if checkpoint_path.is_some() && checkpoint_every == 0 {
         checkpoint_every = window;
     }
     if checkpoint_every > 0 {
@@ -1951,35 +1789,23 @@ pub fn soak(args: &Args) -> Result<(), CliError> {
     }
 
     let mut source = Feed::open(args, &scenario, len, seed)?;
-    if let Some(strategy) = source.strategy() {
-        eprintln!(
-            "soak: streaming {} via the {strategy} path",
-            args.str_or("trace", "")
-        );
+    if let (Some(strategy), Some(path)) = (source.strategy(), args.get_str("trace")) {
+        eprintln!("soak: streaming {path} via the {strategy} path");
     }
     let target = source.total_requests();
 
     // Resume from a checkpoint written by an earlier soak.
-    let from = args.str_or("from", "");
-    let snap = if from.is_empty() {
-        None
-    } else {
-        Some(read_checkpoint(Path::new(&from))?)
-    };
-    let owners = source.universe().owners();
-    let k = match &snap {
-        Some(s) => snapshot_k(
-            args,
-            s,
-            "checkpoint",
-            owners,
-            target,
-            window,
-            false,
-            s.capacity,
-        )?,
-        None => k_arg(args, "k", scenario.suggested_k)?,
-    };
+    let snap = args
+        .get_str("from")
+        .map(|f| read_checkpoint(Path::new(f)))
+        .transpose()?;
+    let k = args
+        .get("k")
+        .unwrap_or(snap.as_ref().map_or(scenario.suggested_k, |s| s.capacity));
+    if let Some(s) = &snap {
+        let owners = source.universe().owners();
+        check_snapshot(s, "checkpoint", owners, target, window, false, k)?;
+    }
     let start_t = snap.as_ref().map_or(0, |s| s.time);
 
     let meta = vec![
@@ -1990,8 +1816,8 @@ pub fn soak(args: &Args) -> Result<(), CliError> {
         ("len", Json::from_u64(target)),
         ("start", Json::from_u64(start_t)),
     ];
-    let file = |p: &str| (!p.is_empty()).then(|| PathBuf::from(p));
-    let mut persist = FilePersist::new(file(&series_path), window, meta, file(&checkpoint_path));
+    let file = |p: Option<&str>| p.map(PathBuf::from);
+    let mut persist = FilePersist::new(file(series_path), window, meta, file(checkpoint_path));
     let mut driver = WindowDriver::new(k, window, checkpoint_every, snap, &mut persist);
     // The heartbeat is a boundary hook: about once a second, progress,
     // rate, ETA and RSS go to stderr.
@@ -2101,7 +1927,7 @@ pub fn soak(args: &Args) -> Result<(), CliError> {
         "req/s".into(),
         fnum(served as f64 / elapsed.as_secs_f64().max(1e-9)),
     ]);
-    if !series_path.is_empty() {
+    if let Some(series_path) = series_path {
         t.row(vec![
             "series".into(),
             format!("{series_path} ({} lines)", run.windows + 1),
@@ -2137,133 +1963,98 @@ pub fn soak(args: &Args) -> Result<(), CliError> {
 
 /// Render a JSONL window series as an aligned table with per-window Δ
 /// markers (`occ report --series`).
-fn report_series(path: &str, format: &str) -> Result<(), CliError> {
+fn report_series(args: &Args) -> Result<(), CliError> {
+    let path = args.str("series");
     let text =
         std::fs::read_to_string(path).map_err(|e| CliError::Io(format!("read {path}: {e}")))?;
     let file = SeriesFile::parse(&text).map_err(CliError::Parse)?;
-    match format {
-        "json" => emit(&file.series().to_json_value().to_json()),
-        "table" => {
-            let any_latency = file.windows.iter().any(|w| w.latency_ns.is_some());
-            let any_dual = file.windows.iter().any(|w| w.dual.is_some());
-            let mut head = vec![
-                "window", "span", "requests", "miss%", "Δ", "evict", "faults",
+    if args.str("format") == "json" {
+        emit(&file.series().to_json_value().to_json());
+    } else {
+        let any_latency = file.windows.iter().any(|w| w.latency_ns.is_some());
+        let any_dual = file.windows.iter().any(|w| w.dual.is_some());
+        let mut head = vec![
+            "window", "span", "requests", "miss%", "Δ", "evict", "faults",
+        ];
+        if any_latency {
+            head.push("p99(ns)");
+        }
+        if any_dual {
+            head.push("dual Y");
+        }
+        let mut t = Table::new(head);
+        let mut prev: Option<f64> = None;
+        for w in &file.windows {
+            let mr = w.miss_ratio();
+            let delta = match prev {
+                None => "·".to_string(),
+                Some(p) if (mr - p).abs() < 5e-4 => "·".to_string(),
+                Some(p) => format!("{:+.3}", mr - p),
+            };
+            prev = Some(mr);
+            let mut row = vec![
+                w.index.to_string(),
+                format!("{}..{}", w.start, w.end),
+                w.requests().to_string(),
+                format!("{:.3}", mr),
+                delta,
+                (w.evictions + w.flush_evictions).to_string(),
+                w.faults.total_records().to_string(),
             ];
             if any_latency {
-                head.push("p99(ns)");
+                row.push(
+                    w.latency_ns
+                        .as_ref()
+                        .map(|h| h.p99().to_string())
+                        .unwrap_or_else(|| "-".into()),
+                );
             }
             if any_dual {
-                head.push("dual Y");
+                row.push(
+                    w.dual
+                        .as_ref()
+                        .map(|d| fnum(d.dual_offset))
+                        .unwrap_or_else(|| "-".into()),
+                );
             }
-            let mut t = Table::new(head);
-            let mut prev: Option<f64> = None;
-            for w in &file.windows {
-                let mr = w.miss_ratio();
-                let delta = match prev {
-                    None => "·".to_string(),
-                    Some(p) if (mr - p).abs() < 5e-4 => "·".to_string(),
-                    Some(p) => format!("{:+.3}", mr - p),
-                };
-                prev = Some(mr);
-                let mut row = vec![
-                    w.index.to_string(),
-                    format!("{}..{}", w.start, w.end),
-                    w.requests().to_string(),
-                    format!("{:.3}", mr),
-                    delta,
-                    (w.evictions + w.flush_evictions).to_string(),
-                    w.faults.total_records().to_string(),
-                ];
-                if any_latency {
-                    row.push(
-                        w.latency_ns
-                            .as_ref()
-                            .map(|h| h.p99().to_string())
-                            .unwrap_or_else(|| "-".into()),
-                    );
-                }
-                if any_dual {
-                    row.push(
-                        w.dual
-                            .as_ref()
-                            .map(|d| fnum(d.dual_offset))
-                            .unwrap_or_else(|| "-".into()),
-                    );
-                }
-                t.row(row);
-            }
-            emit(&t.to_markdown());
-            let total = file.series().total();
-            emit(&format!(
-                "series: {} windows of {} requests · {} requests total · overall miss ratio {:.3}",
-                file.windows.len(),
-                file.width,
-                total.requests(),
-                total.miss_ratio()
-            ));
+            t.row(row);
         }
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown format '{other}' (table, json)"
-            )))
-        }
+        emit(&t.to_markdown());
+        let total = file.series().total();
+        emit(&format!(
+            "series: {} windows of {} requests · {} requests total · overall miss ratio {:.3}",
+            file.windows.len(),
+            file.width,
+            total.requests(),
+            total.miss_ratio()
+        ));
     }
     Ok(())
 }
 
 /// `occ report`
 pub fn report(args: &Args) -> Result<(), CliError> {
-    let series_path = args.str_or("series", "");
-    if !series_path.is_empty() {
-        return report_series(&series_path, &args.str_or("format", "table"));
-    }
-    let path = uarg(args.str_required("in"))?;
+    let path = args.str("in");
     let text =
-        std::fs::read_to_string(&path).map_err(|e| CliError::Io(format!("read {path}: {e}")))?;
+        std::fs::read_to_string(path).map_err(|e| CliError::Io(format!("read {path}: {e}")))?;
     let parsed = Json::parse(&text).map_err(|e| CliError::Parse(format!("{path}: {e}")))?;
     ObserveReport::validate(&parsed).map_err(CliError::Parse)?;
     let r = ObserveReport::from_json_value(&parsed).map_err(CliError::Parse)?;
-    match args.str_or("format", "table").as_str() {
-        "table" => emit(&r.to_table()),
-        "json" => emit(&r.to_json()),
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown format '{other}' (table, json)"
-            )))
-        }
-    }
+    emit(&match args.str("format") {
+        "json" => r.to_json(),
+        _ => r.to_table(),
+    });
     Ok(())
 }
 
 /// `occ conformance`
 pub fn conformance(args: &Args) -> Result<(), CliError> {
-    let grid_name = args.str_or("grid", "smoke");
-    let grid = occ_conformance::grid(&grid_name).ok_or_else(|| {
-        CliError::Usage(format!(
-            "unknown grid '{grid_name}' (available: {})",
-            occ_conformance::GRID_NAMES.join(", ")
-        ))
-    })?;
-    let seed = uarg(args.num_or("seed", 7u64))?;
-    let weaken = uarg(args.num_or("weaken", 1.0f64))?;
-    if !weaken.is_finite() || weaken <= 0.0 {
-        return Err(CliError::Usage(
-            "--weaken must be a positive finite factor".into(),
-        ));
-    }
-    let shrink = match args.str_or("shrink", "on").as_str() {
-        "on" => true,
-        "off" => false,
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown --shrink mode '{other}' (on, off)"
-            )))
-        }
-    };
+    let grid_name = args.str("grid");
+    let grid = occ_conformance::grid(grid_name).expect("--grid choices are GRID_NAMES");
     let cfg = occ_conformance::RunConfig {
-        seed,
-        weaken,
-        shrink,
+        seed: args.val("seed"),
+        weaken: args.val("weaken"),
+        shrink: args.val("shrink"),
     };
     let outcome = occ_conformance::run_grid(&grid, &cfg);
 
@@ -2281,27 +2072,21 @@ pub fn conformance(args: &Args) -> Result<(), CliError> {
     }
 
     let json = outcome.verdicts.to_json();
-    let out_path = args.str_or("out", "");
-    if !out_path.is_empty() {
-        write_atomic(Path::new(&out_path), format!("{json}\n").as_bytes())
-            .map_err(|e| CliError::Io(format!("write {out_path}: {e}")))?;
-        eprintln!("verdicts written to {out_path}");
+    if let Some(out) = write_out(args, &json)? {
+        eprintln!("verdicts written to {out}");
     }
-    match args.str_or("format", "table").as_str() {
-        "table" => emit(&outcome.verdicts.to_table()),
+    match args.str("format") {
         "json" => emit(&json),
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown format '{other}' (table, json)"
-            )))
-        }
+        _ => emit(&outcome.verdicts.to_table()),
     }
 
     let (_, fail, _) = outcome.verdicts.counts();
     if fail > 0 {
         return Err(CliError::Conformance(format!(
-            "{fail} of {} cells FAILed their bound (grid {grid_name}, seed {seed}, weaken {weaken})",
-            grid.cells.len()
+            "{fail} of {} cells FAILed their bound (grid {grid_name}, seed {}, weaken {})",
+            grid.cells.len(),
+            cfg.seed,
+            cfg.weaken
         )));
     }
     Ok(())
@@ -2313,6 +2098,16 @@ mod tests {
 
     fn args(tokens: &[&str]) -> Args {
         Args::parse(tokens.iter().map(|s| s.to_string())).unwrap()
+    }
+
+    /// Run a parsed command line through its table entry.
+    fn dispatch(a: &Args) -> Result<(), CliError> {
+        (a.command.expect("a command").run)(a)
+    }
+
+    /// Parse and run a command line, as `main` does.
+    fn exec(tokens: &[&str]) -> Result<(), CliError> {
+        dispatch(&Args::parse(tokens.iter().map(|s| s.to_string()))?)
     }
 
     #[test]
@@ -2414,7 +2209,7 @@ mod tests {
             vec!["conformance", "--shrink", "maybe"],
             vec!["conformance", "--format", "xml"],
         ] {
-            let err = conformance(&args(&bad)).unwrap_err();
+            let err = exec(&bad).unwrap_err();
             assert_eq!(err.exit_code(), 2, "{bad:?}");
         }
     }
@@ -2446,7 +2241,7 @@ mod tests {
             run_json.to_str().unwrap(),
         ]))
         .unwrap();
-        concurrent(&args(&[
+        dispatch(&args(&[
             "concurrent",
             "--replay",
             sched.to_str().unwrap(),
@@ -2512,7 +2307,7 @@ mod tests {
                 "1.5",
             ],
         ] {
-            let err = concurrent(&args(&bad)).unwrap_err();
+            let err = exec(&bad).unwrap_err();
             assert_eq!(err.exit_code(), 2, "{bad:?}");
         }
     }
@@ -2524,8 +2319,7 @@ mod tests {
         // No CRC trailer at all.
         let bare = dir.join("bare.txt");
         std::fs::write(&bare, "# occ-concurrent-schedule v1 scenario=two-tier\n").unwrap();
-        let err =
-            concurrent(&args(&["concurrent", "--replay", bare.to_str().unwrap()])).unwrap_err();
+        let err = exec(&["concurrent", "--replay", bare.to_str().unwrap()]).unwrap_err();
         assert_eq!(err.exit_code(), 4, "missing trailer is a parse error");
         // Sealed but non-contiguous schedule body.
         let gap = dir.join("gap.txt");
@@ -2534,16 +2328,25 @@ mod tests {
             schedule_header("two-tier", 8, 2, 1, "lru", FaultPolicy::SkipAndCount)
         );
         occ_probe::write_atomic_with_trailer(&gap, &body).unwrap();
-        let err =
-            concurrent(&args(&["concurrent", "--replay", gap.to_str().unwrap()])).unwrap_err();
+        let err = exec(&["concurrent", "--replay", gap.to_str().unwrap()]).unwrap_err();
         assert_eq!(err.exit_code(), 4, "seq gap is a parse error");
         assert!(err.to_string().contains("contiguous"));
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
+    fn choice_lists_are_the_names_the_code_resolves() {
+        for name in DEGRADE {
+            assert!(FaultPolicy::parse(name).is_some(), "--degrade {name}");
+        }
+        let flavors = [CsvFlavor::Msr, CsvFlavor::Twitter].map(CsvFlavor::name);
+        assert_eq!(FLAVORS, [&["auto"][..], &flavors].concat());
+    }
+
+    #[test]
     fn usage_lists_the_registry() {
-        let section = USAGE.split("POLICIES:").nth(1).expect("a POLICIES section");
+        let usage = crate::args::usage(None);
+        let section = usage.split("POLICIES:").nth(1).expect("a POLICIES section");
         let words: Vec<&str> = section
             .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
             .collect();
@@ -2559,7 +2362,7 @@ mod tests {
             .filter(|e| e.shared)
             .map(|e| e.name)
             .collect();
-        assert!(USAGE.contains(&format!("[--policy {}]", shared.join("|"))));
+        assert!(usage.contains(&format!("[--policy {}]", shared.join("|"))));
         let err = concurrent(&args(&[
             "concurrent",
             "--scenario",
@@ -2578,7 +2381,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let report_path = dir.join("report.json");
         let events_path = dir.join("events.jsonl");
-        observe(&args(&[
+        dispatch(&args(&[
             "observe",
             "--scenario",
             "two-tier",
@@ -2641,7 +2444,7 @@ mod tests {
 
     #[test]
     fn observe_works_for_baseline_policies() {
-        observe(&args(&[
+        dispatch(&args(&[
             "observe",
             "--scenario",
             "two-tier",
@@ -2731,7 +2534,7 @@ mod tests {
             let ckpt = dir.join("ckpt.json");
 
             // The uninterrupted reference run.
-            observe(&args(&[
+            dispatch(&args(&[
                 "observe",
                 "--scenario",
                 "two-tier",
@@ -2747,7 +2550,7 @@ mod tests {
             .unwrap();
             // The "interrupted" run: truncate the stream at 400 requests
             // and leave a checkpoint behind.
-            observe(&args(&[
+            dispatch(&args(&[
                 "observe",
                 "--scenario",
                 "two-tier",
@@ -2769,7 +2572,7 @@ mod tests {
             .unwrap();
             assert_eq!(read_report(&half).requests, 400);
             // Continue over the full trace from the checkpoint.
-            resume(&args(&[
+            dispatch(&args(&[
                 "resume",
                 "--from",
                 ckpt.to_str().unwrap(),
@@ -2799,7 +2602,7 @@ mod tests {
         let dir = std::env::temp_dir().join("occ-cli-resume-reject");
         std::fs::create_dir_all(&dir).unwrap();
         let ckpt = dir.join("ckpt.json");
-        observe(&args(&[
+        dispatch(&args(&[
             "observe",
             "--scenario",
             "two-tier",
@@ -2814,7 +2617,7 @@ mod tests {
         let c = ckpt.to_str().unwrap();
 
         // Wrong capacity.
-        let err = resume(&args(&[
+        let err = dispatch(&args(&[
             "resume",
             "--from",
             c,
@@ -2829,7 +2632,7 @@ mod tests {
         assert_eq!(err.exit_code(), 2, "got: {err}");
         // Different trace (seed) → different universe length is fine here
         // (same scenario), but a different scenario's universe is not.
-        let err = resume(&args(&[
+        let err = dispatch(&args(&[
             "resume",
             "--from",
             c,
@@ -2841,7 +2644,7 @@ mod tests {
         .unwrap_err();
         assert_eq!(err.exit_code(), 2, "got: {err}");
         // A policy without a matching snapshot name.
-        let err = resume(&args(&[
+        let err = dispatch(&args(&[
             "resume",
             "--from",
             c,
@@ -2866,9 +2669,10 @@ mod tests {
             "--checkpoint-every",
             "0",
         ];
-        let err = observe(&args(&[&["observe"], &no_cadence[..]].concat())).unwrap_err();
+        let err = dispatch(&args(&[&["observe"], &no_cadence[..]].concat())).unwrap_err();
         assert_eq!(err.exit_code(), 2, "got: {err}");
-        let err = resume(&args(&[&["resume", "--from", c], &no_cadence[..]].concat())).unwrap_err();
+        let err =
+            dispatch(&args(&[&["resume", "--from", c], &no_cadence[..]].concat())).unwrap_err();
         assert_eq!(err.exit_code(), 2, "got: {err}");
         assert!(!dir.join("never.json").exists());
         // A tampered snapshot version is a parse error. Re-seal the
@@ -2883,7 +2687,7 @@ mod tests {
             occ_probe::with_trailer(&body.replacen("\"version\":1", "\"version\":99", 1)),
         )
         .unwrap();
-        let err = resume(&args(&[
+        let err = dispatch(&args(&[
             "resume",
             "--from",
             bad.to_str().unwrap(),
@@ -2903,7 +2707,7 @@ mod tests {
         let dir = std::env::temp_dir().join("occ-cli-ckpt-crc");
         std::fs::create_dir_all(&dir).unwrap();
         let ckpt = dir.join("ckpt.json");
-        observe(&args(&[
+        dispatch(&args(&[
             "observe",
             "--scenario",
             "two-tier",
@@ -2921,7 +2725,7 @@ mod tests {
         assert!(!occ_probe::atomicio::tmp_path(&ckpt).exists());
 
         let resume_from = |path: &std::path::Path| {
-            resume(&args(&[
+            dispatch(&args(&[
                 "resume",
                 "--from",
                 path.to_str().unwrap(),
@@ -3249,23 +3053,17 @@ mod tests {
             let mut v = vec!["observe"];
             v.extend_from_slice(chaos);
             v.extend_from_slice(extra);
-            args(&v)
+            exec(&v)
         };
 
         // Default (fail-fast) surfaces the first fault with exit code 5.
-        let err = observe(&with(&[])).unwrap_err();
+        let err = with(&[]).unwrap_err();
         assert_eq!(err.exit_code(), 5, "got: {err}");
 
         // skip and quarantine absorb everything and report nonzero
         // fault counters.
         for degrade in ["skip", "quarantine"] {
-            observe(&with(&[
-                "--degrade",
-                degrade,
-                "--out",
-                out.to_str().unwrap(),
-            ]))
-            .unwrap();
+            with(&["--degrade", degrade, "--out", out.to_str().unwrap()]).unwrap();
             let r = read_report(&out);
             let total = r
                 .metrics
@@ -3277,7 +3075,7 @@ mod tests {
             report(&args(&["report", "--in", out.to_str().unwrap()])).unwrap();
         }
         // An unknown degradation policy is a usage error.
-        let err = observe(&with(&["--degrade", "explode"])).unwrap_err();
+        let err = with(&["--degrade", "explode"]).unwrap_err();
         assert_eq!(err.exit_code(), 2, "got: {err}");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -3313,11 +3111,11 @@ mod tests {
         };
 
         // Reference: the whole corrupted stream in one go.
-        observe(&run("observe", &["--out", full.to_str().unwrap()])).unwrap();
+        dispatch(&run("observe", &["--out", full.to_str().unwrap()])).unwrap();
         // Interrupted at 300 (chaos truncation), then resumed. The plan is
         // regenerated from the same seed, so the continuation sees the
         // same corrupted records.
-        observe(&run(
+        dispatch(&run(
             "observe",
             &[
                 "--chaos-truncate",
@@ -3328,7 +3126,7 @@ mod tests {
         ))
         .unwrap();
         // A degraded snapshot without --degrade is refused.
-        let err = resume(&args(&[
+        let err = dispatch(&args(&[
             "resume",
             "--from",
             ckpt.to_str().unwrap(),
@@ -3339,7 +3137,7 @@ mod tests {
         ]))
         .unwrap_err();
         assert_eq!(err.exit_code(), 2, "got: {err}");
-        resume(&run(
+        dispatch(&run(
             "resume",
             &[
                 "--from",

@@ -92,14 +92,6 @@ impl fmt::Display for CliError {
     }
 }
 
-/// Legacy helpers still produce `String` errors; classify them as
-/// unspecified rather than losing them.
-impl From<String> for CliError {
-    fn from(m: String) -> Self {
-        CliError::Other(m)
-    }
-}
-
 impl From<TraceIoError> for CliError {
     fn from(e: TraceIoError) -> Self {
         match e {

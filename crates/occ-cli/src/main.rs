@@ -37,46 +37,15 @@ mod commands;
 mod errors;
 
 use args::Args;
-use errors::CliError;
 
 fn main() {
-    let args = match Args::from_env() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}\n");
-            eprintln!("{}", commands::USAGE);
-            std::process::exit(2);
-        }
-    };
-    // Only `occ trace` takes a second positional (its action).
-    if args.action.is_some() && args.command.as_deref() != Some("trace") {
-        eprintln!(
-            "error: unexpected positional argument '{}'\n",
-            args.action.as_deref().unwrap_or("")
-        );
-        eprintln!("{}", commands::USAGE);
-        std::process::exit(2);
-    }
-    let result = match args.command.as_deref() {
-        Some("generate") => commands::generate(&args),
-        Some("trace") => commands::trace(&args),
-        Some("run") => commands::run(&args),
-        Some("compare") => commands::compare(&args),
-        Some("mrc") => commands::mrc(&args),
-        Some("observe") => commands::observe(&args),
-        Some("resume") => commands::resume(&args),
-        Some("soak") => commands::soak(&args),
-        Some("report") => commands::report(&args),
-        Some("fleet") => commands::fleet(&args),
-        Some("concurrent") => commands::concurrent(&args),
-        Some("conformance") => commands::conformance(&args),
-        Some("scenarios") => commands::scenarios(),
-        Some("help") | None => {
-            println!("{}", commands::USAGE);
+    let result = Args::parse(std::env::args().skip(1)).and_then(|args| match args.command {
+        Some(cmd) if !args.help => (cmd.run)(&args),
+        only => {
+            commands::emit(&args::usage(only));
             Ok(())
         }
-        Some(other) => Err(CliError::Usage(format!("unknown command '{other}'"))),
-    };
+    });
     if let Err(e) = result {
         eprintln!("error({}): {e}", e.class());
         std::process::exit(e.exit_code());

@@ -1,10 +1,13 @@
 //! Black-box contracts of the real `occ` binary. Usage errors (exit 2,
 //! never a panic): a zero cache size in every command that takes one, a
 //! resume past the end of the stream, a soak checkpoint cadence with no
-//! checkpoint file, and more than 1024 concurrent worker threads. And
-//! `occ observe --out` replaces its report atomically.
+//! checkpoint file, more than 1024 concurrent worker threads, a
+//! misspelled or foreign flag in every command (naming the nearest
+//! flag), and a bad value that must stop a command before it writes
+//! anything. `--help` prints the usage and exits 0. And `occ observe
+//! --out` replaces its report atomically.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn occ(args: &[&str]) -> Output {
@@ -164,4 +167,172 @@ fn concurrent_thread_count_is_bounded() {
         "--threads",
         "1025",
     ]);
+}
+
+/// The words of `line`, with each `@name` replaced by the path of
+/// `name` in `dir`.
+fn words(line: &str, dir: &Path) -> Vec<String> {
+    line.split(' ')
+        .map(|w| match w.strip_prefix('@') {
+            Some(name) => dir.join(name).to_str().unwrap().to_string(),
+            None => w.to_string(),
+        })
+        .collect()
+}
+
+/// Run `occ` on `line` (see [`words`]) and insist on a usage error that
+/// names `hint` on stderr.
+fn assert_usage_error_naming(line: &str, dir: &Path, hint: &str) {
+    let args = words(line, dir);
+    let out = Command::new(env!("CARGO_BIN_EXE_occ"))
+        .args(&args)
+        .output()
+        .expect("run occ");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    assert!(
+        stderr.contains(hint),
+        "{args:?} should name {hint}: {stderr}"
+    );
+}
+
+/// A fresh scratch directory for one test.
+fn scratch(name: &str) -> PathBuf {
+    let dir = tmp(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
+}
+
+/// The usage entry a command line selects: its words up to and
+/// including its first flag (`concurrent --replay`), as `occ --help`
+/// lists them.
+fn entry_key(line: &str) -> String {
+    let words: Vec<&str> = line.split(' ').collect();
+    let first_flag = words.iter().position(|w| w.starts_with("--"));
+    words[..first_flag.map_or(words.len(), |i| i + 1)].join(" ")
+}
+
+#[test]
+fn a_misspelled_flag_names_the_nearest_one_in_every_command() {
+    let dir = scratch("misspelled");
+    // (command line, the flag the error must suggest)
+    let cases = [
+        (
+            "generate --scenario two-tier --out @t.occ --formt binary",
+            "--format",
+        ),
+        ("trace pack --in @t.occ --out @t2.occ --limt 10", "--limit"),
+        (
+            "trace unpack --in @t.occ --out @t2.occ --limt 10",
+            "--limit",
+        ),
+        (
+            "trace import --in @t.csv --out @t.occ --tenats 2",
+            "--tenants",
+        ),
+        ("run --scenario two-tier --len 2k --polcy lru", "--policy"),
+        ("compare --scenario two-tier --len 2k --seeed 3", "--seed"),
+        ("mrc --scenario two-tier --len 2k --max_k 8", "--max-k"),
+        (
+            "observe --scenario two-tier --len 2k --checkpont @c.json",
+            "--checkpoint",
+        ),
+        (
+            "resume --from @c.json --scenario two-tier --evnts @e.jsonl",
+            "--events",
+        ),
+        (
+            "soak --scenario two-tier --len 2k --serie @s.jsonl",
+            "--series",
+        ),
+        ("report --in @r.json --fromat json", "--format"),
+        ("report --series @s.jsonl --fromat json", "--format"),
+        ("fleet --scenario two-tier --len 2k --shard 2", "--shards"),
+        (
+            "concurrent --scenario two-tier --len 1k --shards 1",
+            "--table-shards",
+        ),
+        ("concurrent --replay @s.txt --fromat json", "--format"),
+        ("conformance --grid smoke --gird full", "--grid"),
+    ];
+    for (line, nearest) in cases {
+        assert_usage_error_naming(line, &dir, &format!("did you mean {nearest}?"));
+    }
+    assert_usage_error_naming("scenarios --bogus 1", &dir, "takes no flags");
+    // One case per usage entry: every command, trace action and mode.
+    let help = String::from_utf8(occ(&["--help"]).stdout).unwrap();
+    let mut listed: Vec<String> = help
+        .lines()
+        .filter_map(|l| l.strip_prefix("  occ "))
+        .map(|l| entry_key(&l.replace('[', "")))
+        .collect();
+    let mut covered: Vec<String> = cases.iter().map(|(line, _)| entry_key(line)).collect();
+    covered.push("scenarios".into());
+    listed.sort();
+    covered.sort();
+    assert_eq!(listed, covered);
+}
+
+#[test]
+fn a_bad_value_stops_the_command_before_it_writes_anything() {
+    let dir = scratch("bad-value");
+    for line in [
+        "concurrent --scenario sqlvm-like --len 2k --threads 1 --format yaml --out @r.json \
+         --schedule-out @s.txt",
+        "fleet --scenario two-tier --shards 2 --len 2k --format yaml --out @f.json",
+        "conformance --format yaml --out @v.json",
+    ] {
+        assert_usage_error_naming(line, &dir, "--format");
+    }
+    let written: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+    assert!(written.is_empty(), "{written:?}");
+}
+
+#[test]
+fn modes_and_trace_actions_take_only_their_own_flags() {
+    let dir = scratch("modes");
+    for setup in [
+        "concurrent --scenario two-tier --len 500 --threads 1 --schedule-out @s.txt",
+        "soak --scenario two-tier --len 2k --window 1k --heartbeat off --series @s.jsonl",
+        "generate --scenario two-tier --len 500 --out @t.occ",
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_occ"))
+            .args(words(setup, &dir))
+            .output()
+            .expect("run occ");
+        assert!(out.status.success(), "{setup}: {out:?}");
+    }
+    for (line, hint) in [
+        (
+            "concurrent --replay @s.txt --threads 99 --policy nope",
+            "--threads",
+        ),
+        (
+            "report --in @t.occ --series @s.jsonl",
+            "--series has no flag --in",
+        ),
+        ("trace pack --in @t.occ --out @t2.occ --limt 10", "--limit"),
+    ] {
+        assert_usage_error_naming(line, &dir, hint);
+    }
+    assert!(!dir.join("t2.occ").exists());
+}
+
+#[test]
+fn help_prints_the_usage_and_exits_0() {
+    let full = occ(&["--help"]);
+    assert_eq!(full.status.code(), Some(0));
+    let text = String::from_utf8(full.stdout).unwrap();
+    assert!(text.contains("USAGE:") && text.contains("occ soak --scenario NAME"));
+    assert_eq!(occ(&["help"]).stdout, text.as_bytes());
+    let soak = occ(&["soak", "--help"]);
+    assert_eq!(soak.status.code(), Some(0));
+    let section = String::from_utf8(soak.stdout).unwrap();
+    assert!(
+        section.starts_with("  occ soak --scenario NAME"),
+        "{section}"
+    );
+    assert!(section.contains("[--window N]") && !section.contains("occ fleet"));
 }
