@@ -1,14 +1,12 @@
 //! FIFO — evict the page that entered the cache earliest.
 //!
-//! [`Fifo`] (the default) keeps insertion order in an intrusive
-//! [`PageList`]: `O(1)` per operation with no allocation and no stale
-//! entries, because external removals unlink eagerly. [`FifoReference`]
-//! is the original `VecDeque` form whose queue is lazily self-cleaning;
-//! both make byte-identical eviction decisions.
+//! [`Fifo`] keeps insertion order in an intrusive [`PageList`]: `O(1)`
+//! per operation with no allocation and no stale entries, because
+//! external removals unlink eagerly. It is checked eviction for eviction
+//! against the FIFO key oracle (`occ_oracle::fifo`).
 
 use crate::state_util::{encode_pages, PageDecoder};
 use occ_sim::{EngineCtx, PageId, PageList, PolicyState, ReplacementPolicy, SnapshotError};
-use std::collections::VecDeque;
 
 /// First-in-first-out replacement over an intrusive insertion-order list.
 #[derive(Debug, Default)]
@@ -64,45 +62,6 @@ impl ReplacementPolicy for Fifo {
             self.queue.push_back(p);
         }
         Ok(())
-    }
-}
-
-/// The original `VecDeque` FIFO, retained as the equivalence oracle and
-/// benchmark baseline for [`Fifo`].
-#[derive(Debug, Default)]
-pub struct FifoReference {
-    queue: VecDeque<PageId>,
-}
-
-impl FifoReference {
-    /// A fresh reference FIFO policy.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl ReplacementPolicy for FifoReference {
-    fn name(&self) -> String {
-        "fifo-reference".into()
-    }
-
-    fn on_insert(&mut self, _ctx: &EngineCtx, page: PageId) {
-        self.queue.push_back(page);
-    }
-
-    fn choose_victim(&mut self, ctx: &EngineCtx, _incoming: PageId) -> PageId {
-        // Skip entries whose page is no longer cached (externally removed
-        // in a multi-pool system); the queue is lazily self-cleaning.
-        loop {
-            let p = self.queue.pop_front().expect("cache is full");
-            if ctx.cache.contains(p) {
-                return p;
-            }
-        }
-    }
-
-    fn reset(&mut self) {
-        self.queue.clear();
     }
 }
 
@@ -164,7 +123,7 @@ mod tests {
                 .eviction_sequence();
             let b = Simulator::new(k)
                 .record_events(true)
-                .run(&mut FifoReference::new(), &trace)
+                .run(&mut occ_oracle::fifo(), &trace)
                 .events
                 .unwrap()
                 .eviction_sequence();

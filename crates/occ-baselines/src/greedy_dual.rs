@@ -10,51 +10,35 @@
 //! `f_i(x) = w_i·x` (cross-validated in the tests below), while being an
 //! independent implementation with the textbook lazy-offset structure.
 //!
-//! # Two implementations
+//! # Implementation
 //!
-//! [`GreedyDualReference`] is the textbook structure: an ordered set of
-//! `(key, stamp, page)` over all cached pages, `O(log k)` per request.
-//! [`GreedyDual`] is the production implementation on flat arrays and
-//! per-user intrusive recency lists ([`occ_sim::PageLists`]), `O(1)` per
-//! request plus an `O(n)`-users eviction scan — the same memory layout
-//! as the paper's ALG-DISCRETE fast path, with no ordered set and no
-//! per-request allocation.
+//! [`GreedyDual`] runs on flat arrays and per-user intrusive recency
+//! lists ([`occ_sim::PageLists`]), `O(1)` per request plus an
+//! `O(n)`-users eviction scan — the same memory layout as the paper's
+//! ALG-DISCRETE fast path, with no ordered set and no per-request
+//! allocation.
 //!
-//! The flat port is **bit-identical** to the reference, by the landlord
-//! invariant: every cached key is `≥` the current offset (credit is
-//! non-negative), so the offset — always set to the minimum cached key —
-//! is non-decreasing. Within one user the weight term of
-//! `key = w_u + offset_at_touch` is constant, so key order equals
-//! touch-recency order and the per-user minimum is the recency-list
-//! front; the global victim is the minimum over `n` list fronts under
-//! the reference's exact comparator `(key via total order, stamp,
+//! It is **bit-identical** to the textbook rule (evict the cached page
+//! with the smallest `(key, stamp, page)`, where `key = w_u + offset`
+//! at its last request), by the landlord invariant: every cached key is
+//! `≥` the current offset (credit is non-negative), so the offset —
+//! always set to the minimum cached key — is non-decreasing. Within one
+//! user the weight term of `key = w_u + offset_at_touch` is constant, so
+//! key order equals touch-recency order and the per-user minimum is the
+//! recency-list front; the global victim is the minimum over `n` list
+//! fronts under the exact comparator `(key via total order, stamp,
 //! page)`. Keys are computed lazily from the same two `f64` operands
-//! (`w_u + offset_at_touch`) the reference stores, so every comparison
-//! sees the same bits. A property test in
-//! `tests/policy_equivalence_property.rs` pins the equivalence.
+//! (`w_u + offset_at_touch`) the textbook rule adds, so every comparison
+//! sees the same bits. The GreedyDual key oracle
+//! (`occ_oracle::greedy_dual`) pins the equivalence in
+//! `tests/policy_equivalence_property.rs`.
 
 use occ_sim::{prefetch_slice_element, EngineCtx, PageId, PageLists, ReplacementPolicy, UserId};
-use std::collections::BTreeSet;
-
-/// Totally ordered f64 (no NaNs in this module).
-#[derive(Clone, Copy, Debug, PartialEq)]
-struct Key(f64);
-impl Eq for Key {}
-impl PartialOrd for Key {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Key {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
 
 /// GreedyDual/Landlord on flat arrays and per-user recency lists.
 ///
-/// Decision-for-decision (and bit-for-bit) identical to
-/// [`GreedyDualReference`]; see the module docs for the argument.
+/// Decision-for-decision (and bit-for-bit) identical to the textbook
+/// rule; see the module docs for the argument.
 #[derive(Debug)]
 pub struct GreedyDual {
     /// Per-user page weight.
@@ -64,7 +48,7 @@ pub struct GreedyDual {
     seq: u64,
     /// Per-page: offset at the page's last request. The page's credit
     /// key is reconstructed lazily as `w_owner + y_at` — the same two
-    /// operands the reference adds eagerly.
+    /// operands the textbook rule adds eagerly.
     y_at: Vec<f64>,
     /// Per-page: sequence number of the page's last request.
     stamp: Vec<u64>,
@@ -125,10 +109,10 @@ impl ReplacementPolicy for GreedyDual {
     }
 
     fn choose_victim(&mut self, _ctx: &EngineCtx, _incoming: PageId) -> PageId {
-        // Minimum over list fronts, under the reference comparator
+        // Minimum over list fronts, under the textbook comparator
         // (key by total order, stamp, page). Stamps are globally unique
         // so the page component never actually decides; it is kept for
-        // exact structural parity with the ordered-set reference.
+        // exact structural parity with the textbook rule.
         let mut best: Option<(f64, u64, u32)> = None;
         for u in 0..self.lists.num_lists() {
             let Some(p) = self.lists.front(u) else {
@@ -169,109 +153,6 @@ impl ReplacementPolicy for GreedyDual {
         self.y_at.clear();
         self.stamp.clear();
         self.lists.reset();
-    }
-}
-
-/// The textbook GreedyDual/Landlord structure: one ordered set of
-/// `(key, stamp, page)` over all cached pages, `O(log k)` per request.
-///
-/// Kept as the oracle for [`GreedyDual`]'s flat-array port — the two
-/// must agree eviction-for-eviction, bit-for-bit.
-#[derive(Debug)]
-pub struct GreedyDualReference {
-    /// Per-user page weight.
-    weights: Vec<f64>,
-    /// Global charged offset `Σ δ`.
-    offset: f64,
-    seq: u64,
-    /// Per-page stored credit key (`credit + offset-at-set`).
-    key: Vec<f64>,
-    stamp: Vec<u64>,
-    /// Cached pages ordered by absolute key.
-    order: BTreeSet<(Key, u64, u32)>,
-}
-
-impl GreedyDualReference {
-    /// Create with one weight per user (`weights[i]` > 0).
-    pub fn new(weights: Vec<f64>) -> Self {
-        assert!(!weights.is_empty());
-        assert!(weights.iter().all(|&w| w > 0.0), "weights must be positive");
-        GreedyDualReference {
-            weights,
-            offset: 0.0,
-            seq: 0,
-            key: Vec::new(),
-            stamp: Vec::new(),
-            order: BTreeSet::new(),
-        }
-    }
-
-    /// Uniform weight 1 for `n` users — plain unweighted paging.
-    pub fn unweighted(n: u32) -> Self {
-        Self::new(vec![1.0; n as usize])
-    }
-
-    fn touch(&mut self, ctx: &EngineCtx, page: PageId, cached_before: bool) {
-        let n = ctx.universe.num_pages() as usize;
-        if self.key.len() < n {
-            self.key.resize(n, 0.0);
-            self.stamp.resize(n, 0);
-        }
-        if cached_before {
-            self.order.remove(&(
-                Key(self.key[page.index()]),
-                self.stamp[page.index()],
-                page.0,
-            ));
-        }
-        let user: UserId = ctx.universe.owner(page);
-        self.seq += 1;
-        // credit := weight ⇒ stored key = weight + current offset.
-        self.key[page.index()] = self.weights[user.index()] + self.offset;
-        self.stamp[page.index()] = self.seq;
-        self.order.insert((
-            Key(self.key[page.index()]),
-            self.stamp[page.index()],
-            page.0,
-        ));
-    }
-}
-
-impl ReplacementPolicy for GreedyDualReference {
-    fn name(&self) -> String {
-        "greedy-dual-reference".into()
-    }
-
-    fn on_hit(&mut self, ctx: &EngineCtx, page: PageId) {
-        self.touch(ctx, page, true);
-    }
-
-    fn on_insert(&mut self, ctx: &EngineCtx, page: PageId) {
-        self.touch(ctx, page, false);
-    }
-
-    fn choose_victim(&mut self, _ctx: &EngineCtx, _incoming: PageId) -> PageId {
-        let &(key, stamp, page) = self.order.first().expect("cache is full");
-        self.order.remove(&(key, stamp, page));
-        // Charge δ = remaining credit of the victim to everyone (lazily).
-        self.offset = key.0;
-        PageId(page)
-    }
-
-    fn on_external_removal(&mut self, _ctx: &EngineCtx, page: PageId) {
-        self.order.remove(&(
-            Key(self.key[page.index()]),
-            self.stamp[page.index()],
-            page.0,
-        ));
-    }
-
-    fn reset(&mut self) {
-        self.offset = 0.0;
-        self.seq = 0;
-        self.key.clear();
-        self.stamp.clear();
-        self.order.clear();
     }
 }
 
@@ -336,7 +217,7 @@ mod tests {
 
     #[test]
     fn flat_impl_matches_reference_exactly() {
-        // The flat-array port must reproduce the ordered-set reference
+        // The flat-array port must reproduce the GreedyDual key oracle
         // eviction-for-eviction, including irrational weights whose key
         // sums exercise float rounding.
         let u = Universe::uniform(4, 4);
@@ -344,7 +225,7 @@ mod tests {
         for (seed, k) in [(3u64, 2usize), (4, 5), (5, 9), (6, 15)] {
             let trace = Trace::from_page_indices(&u, &pseudo_pages(2000, 16, seed));
             let a = evictions(&mut GreedyDual::new(weights.clone()), &trace, k);
-            let b = evictions(&mut GreedyDualReference::new(weights.clone()), &trace, k);
+            let b = evictions(&mut occ_oracle::greedy_dual(weights.clone()), &trace, k);
             assert_eq!(a, b, "divergence at seed={seed} k={k}");
         }
     }
@@ -365,11 +246,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn rejects_zero_weight() {
         GreedyDual::new(vec![0.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn reference_rejects_zero_weight() {
-        GreedyDualReference::new(vec![0.0]);
     }
 }

@@ -12,13 +12,12 @@
 //! * cost-aware but myopic: [`CostGreedy`] — marginal-cost eviction with
 //!   no dual accounting, isolating the value of the paper's budgets.
 //!
-//! The hot-path policies ship in two forms: the default (`Lru`, `Fifo`,
-//! `Marking`, `RandomizedMarking`, `LruK`, `GreedyDual`) runs on
-//! `O(1)`/`O(log k)` dense structures (intrusive recency lists,
-//! swap-remove pools, flat history rings), and a `*Reference` twin keeps
-//! the original straightforward implementation as the equivalence oracle
-//! for the property tests and the baseline for the throughput
-//! benchmarks.
+//! The hot-path policies (`Lru`, `Fifo`, `Marking`, `RandomizedMarking`,
+//! `LruK`, `GreedyDual`) run on `O(1)`/`O(log k)` dense structures
+//! (intrusive recency lists, swap-remove pools, flat history rings).
+//! Each deterministic one is checked eviction for eviction against its
+//! key spec in the test-support crate `occ-oracle`, which no shipping
+//! crate links.
 
 pub mod cost_greedy;
 pub mod fifo;
@@ -32,13 +31,13 @@ pub mod random_policy;
 mod state_util;
 
 pub use cost_greedy::CostGreedy;
-pub use fifo::{Fifo, FifoReference};
-pub use greedy_dual::{GreedyDual, GreedyDualReference};
+pub use fifo::Fifo;
+pub use greedy_dual::GreedyDual;
 pub use lfu::Lfu;
-pub use lru::{Lru, LruReference};
-pub use lruk::{LruK, LruKReference};
-pub use marking::{Marking, MarkingReference};
-pub use rand_marking::{RandomizedMarking, RandomizedMarkingReference};
+pub use lru::Lru;
+pub use lruk::LruK;
+pub use marking::Marking;
+pub use rand_marking::RandomizedMarking;
 pub use random_policy::RandomEvict;
 
 #[cfg(test)]

@@ -5,18 +5,12 @@
 //! model. LRU is also the cost-blind default that the cost-aware
 //! algorithm is measured against in the multi-tenant experiments.
 //!
-//! Two implementations live here: [`Lru`], the default, keeps recency in
-//! an intrusive [`PageList`] — `O(1)` per request, no allocation on the
-//! hot path — and [`LruReference`] keeps the original
-//! `BTreeSet<(stamp, page)>` form at `O(log k)` per request. They make
-//! byte-identical eviction decisions (see the equivalence tests here and
-//! the property suite in `tests/equivalence.rs`); the reference exists as
-//! the oracle for those tests and as the baseline of the throughput
-//! benchmarks.
+//! [`Lru`] keeps recency in an intrusive [`PageList`]: `O(1)` per
+//! request, no allocation on the hot path. It is checked eviction for
+//! eviction against the LRU key oracle (`occ_oracle::lru`).
 
 use crate::state_util::{encode_pages, PageDecoder};
 use occ_sim::{EngineCtx, PageId, PageList, PolicyState, ReplacementPolicy, SnapshotError};
-use std::collections::BTreeSet;
 
 /// Least-recently-used replacement in `O(1)` per operation via an
 /// intrusive recency list.
@@ -85,67 +79,6 @@ impl ReplacementPolicy for Lru {
     }
 }
 
-/// The original ordered-set LRU (`O(log k)` per operation), retained as
-/// the equivalence oracle and benchmark baseline for [`Lru`].
-#[derive(Debug, Default)]
-pub struct LruReference {
-    /// Monotone counter stamping each request.
-    seq: u64,
-    /// Last-use stamp per page (lazily sized).
-    stamp: Vec<u64>,
-    /// Cached pages ordered by last-use stamp.
-    order: BTreeSet<(u64, u32)>,
-}
-
-impl LruReference {
-    /// A fresh reference LRU policy.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn touch(&mut self, ctx: &EngineCtx, page: PageId, cached_before: bool) {
-        if self.stamp.len() < ctx.universe.num_pages() as usize {
-            self.stamp.resize(ctx.universe.num_pages() as usize, 0);
-        }
-        if cached_before {
-            self.order.remove(&(self.stamp[page.index()], page.0));
-        }
-        self.seq += 1;
-        self.stamp[page.index()] = self.seq;
-        self.order.insert((self.seq, page.0));
-    }
-}
-
-impl ReplacementPolicy for LruReference {
-    fn name(&self) -> String {
-        "lru-reference".into()
-    }
-
-    fn on_hit(&mut self, ctx: &EngineCtx, page: PageId) {
-        self.touch(ctx, page, true);
-    }
-
-    fn on_insert(&mut self, ctx: &EngineCtx, page: PageId) {
-        self.touch(ctx, page, false);
-    }
-
-    fn choose_victim(&mut self, _ctx: &EngineCtx, _incoming: PageId) -> PageId {
-        let &(stamp, page) = self.order.first().expect("cache is full");
-        self.order.remove(&(stamp, page));
-        PageId(page)
-    }
-
-    fn on_external_removal(&mut self, _ctx: &EngineCtx, page: PageId) {
-        self.order.remove(&(self.stamp[page.index()], page.0));
-    }
-
-    fn reset(&mut self) {
-        self.seq = 0;
-        self.stamp.clear();
-        self.order.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,7 +142,7 @@ mod tests {
     #[test]
     fn matches_reference_eviction_for_eviction() {
         // Deterministic pseudo-random trace: the intrusive-list LRU and
-        // the ordered-set LRU must evict the same pages at the same times.
+        // the LRU key oracle must evict the same pages at the same times.
         let u = Universe::single_user(16);
         let mut state = 0x9E3779B97F4A7C15u64;
         let pages: Vec<u32> = (0..3_000)
@@ -230,7 +163,7 @@ mod tests {
                 .eviction_sequence();
             let b = Simulator::new(k)
                 .record_events(true)
-                .run(&mut LruReference::new(), &trace)
+                .run(&mut occ_oracle::lru(), &trace)
                 .events
                 .unwrap()
                 .eviction_sequence();

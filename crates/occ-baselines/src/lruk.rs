@@ -7,17 +7,16 @@
 //! fewer than K references have backward K-distance ∞ and are preferred
 //! victims (ties by oldest last reference — the classic tie-break).
 //!
-//! [`LruK`] (the default) stores each page's last-K reference times in
+//! [`LruK`] stores each page's last-K reference times in
 //! one flat `num_pages × K` ring buffer (no per-page `VecDeque`, no
 //! allocation after sizing) and keeps the cached pages in an incremental
-//! ordered set keyed by `(kth-recent, last, page)`: touches are `O(log k)`
-//! and victim selection is `O(log k)` instead of the reference's `O(k)`
-//! cache scan. [`LruKReference`] is the original form; both make
-//! byte-identical eviction decisions.
+//! ordered set keyed by `(kth-recent, last, page)`: touches and victim
+//! selection are `O(log k)`, with no cache scan. It is checked eviction
+//! for eviction against the LRU-K key oracle (`occ_oracle::lru_k`).
 
 use crate::state_util::{corrupt, decode_u32s};
 use occ_sim::{EngineCtx, PageId, PolicyState, ReplacementPolicy, SnapshotError};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 
 /// LRU-K replacement. `K = 1` degenerates to LRU.
 #[derive(Debug)]
@@ -195,81 +194,6 @@ impl ReplacementPolicy for LruK {
     }
 }
 
-/// The original LRU-K with per-page `VecDeque` histories and an `O(k)`
-/// cache scan per eviction, retained as the equivalence oracle and
-/// benchmark baseline for [`LruK`].
-#[derive(Debug)]
-pub struct LruKReference {
-    k: usize,
-    /// Last K reference times per page (front = oldest of the K).
-    history: Vec<VecDeque<u64>>,
-    seq: u64,
-}
-
-impl LruKReference {
-    /// Create LRU-K with the given history depth `K ≥ 1`.
-    pub fn new(k: usize) -> Self {
-        assert!(k >= 1, "K must be at least 1");
-        LruKReference {
-            k,
-            history: Vec::new(),
-            seq: 0,
-        }
-    }
-
-    fn touch(&mut self, ctx: &EngineCtx, page: PageId) {
-        let n = ctx.universe.num_pages() as usize;
-        if self.history.len() < n {
-            self.history.resize_with(n, VecDeque::new);
-        }
-        self.seq += 1;
-        let h = &mut self.history[page.index()];
-        h.push_back(self.seq);
-        if h.len() > self.k {
-            h.pop_front();
-        }
-    }
-
-    /// Backward K-distance key: the time of the K-th most recent
-    /// reference, or 0 (∞ distance) with the last reference as tie-break.
-    fn key(&self, page: PageId) -> (u64, u64) {
-        let h = &self.history[page.index()];
-        let kth = if h.len() >= self.k {
-            *h.front().expect("non-empty by construction")
-        } else {
-            0 // fewer than K references: infinitely old
-        };
-        let last = h.back().copied().unwrap_or(0);
-        (kth, last)
-    }
-}
-
-impl ReplacementPolicy for LruKReference {
-    fn name(&self) -> String {
-        format!("lru-{}-reference", self.k)
-    }
-
-    fn on_hit(&mut self, ctx: &EngineCtx, page: PageId) {
-        self.touch(ctx, page);
-    }
-
-    fn on_insert(&mut self, ctx: &EngineCtx, page: PageId) {
-        self.touch(ctx, page);
-    }
-
-    fn choose_victim(&mut self, ctx: &EngineCtx, _incoming: PageId) -> PageId {
-        ctx.cache
-            .iter()
-            .min_by_key(|&p| (self.key(p), p.0))
-            .expect("cache is full")
-    }
-
-    fn reset(&mut self) {
-        self.history.clear();
-        self.seq = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,7 +278,7 @@ mod tests {
                     .eviction_sequence();
                 let b = Simulator::new(cache)
                     .record_events(true)
-                    .run(&mut LruKReference::new(kk), &trace)
+                    .run(&mut occ_oracle::lru_k(kk), &trace)
                     .events
                     .unwrap()
                     .eviction_sequence();

@@ -13,8 +13,8 @@
 //! whole marked list (already in last-use order, since touches append)
 //! onto the empty unmarked list in `O(k)` — amortized `O(1)`, as a phase
 //! spans at least `k` requests. The victim is always the unmarked front.
-//! [`MarkingReference`] is the original form that rescans the cache per
-//! eviction (`O(k)`); both make byte-identical eviction decisions.
+//! It is checked eviction for eviction against the marking key oracle
+//! (`occ_oracle::marking`).
 
 use crate::state_util::{encode_pages, PageDecoder};
 use occ_sim::{EngineCtx, PageId, PageLists, PolicyState, ReplacementPolicy, SnapshotError};
@@ -103,69 +103,6 @@ impl ReplacementPolicy for Marking {
     }
 }
 
-/// The original scan-per-eviction marking (`O(k)` victim selection),
-/// retained as the equivalence oracle and benchmark baseline for
-/// [`Marking`].
-#[derive(Debug, Default)]
-pub struct MarkingReference {
-    seq: u64,
-    marked: Vec<bool>,
-    stamp: Vec<u64>,
-}
-
-impl MarkingReference {
-    /// A fresh reference marking policy.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn touch(&mut self, ctx: &EngineCtx, page: PageId) {
-        let n = ctx.universe.num_pages() as usize;
-        if self.marked.len() < n {
-            self.marked.resize(n, false);
-            self.stamp.resize(n, 0);
-        }
-        self.seq += 1;
-        self.marked[page.index()] = true;
-        self.stamp[page.index()] = self.seq;
-    }
-}
-
-impl ReplacementPolicy for MarkingReference {
-    fn name(&self) -> String {
-        "marking-reference".into()
-    }
-
-    fn on_hit(&mut self, ctx: &EngineCtx, page: PageId) {
-        self.touch(ctx, page);
-    }
-
-    fn on_insert(&mut self, ctx: &EngineCtx, page: PageId) {
-        self.touch(ctx, page);
-    }
-
-    fn choose_victim(&mut self, ctx: &EngineCtx, _incoming: PageId) -> PageId {
-        // New phase if everything is marked.
-        if ctx.cache.iter().all(|p| self.marked[p.index()]) {
-            for p in ctx.cache.iter() {
-                self.marked[p.index()] = false;
-            }
-        }
-        // Oldest unmarked page.
-        ctx.cache
-            .iter()
-            .filter(|p| !self.marked[p.index()])
-            .min_by_key(|p| (self.stamp[p.index()], p.0))
-            .expect("a phase reset guarantees an unmarked page")
-    }
-
-    fn reset(&mut self) {
-        self.seq = 0;
-        self.marked.clear();
-        self.stamp.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,7 +166,7 @@ mod tests {
                 .eviction_sequence();
             let b = Simulator::new(k)
                 .record_events(true)
-                .run(&mut MarkingReference::new(), &trace)
+                .run(&mut occ_oracle::marking(), &trace)
                 .events
                 .unwrap()
                 .eviction_sequence();

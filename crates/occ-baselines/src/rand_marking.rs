@@ -8,18 +8,16 @@
 //! §4 *adaptive* adversary it does not (the adversary sees the cache) —
 //! both facts are exercised by the experiment suite.
 //!
-//! [`RandomizedMarking`] (the default) keeps the unmarked cached pages in
-//! a dense swap-remove pool with a per-page position index: marking,
-//! victim sampling, and removal are all `O(1)` with no per-eviction
+//! [`RandomizedMarking`] keeps the unmarked cached pages in a dense
+//! swap-remove pool with a per-page position index: marking, victim
+//! sampling, and removal are all `O(1)` with no per-eviction
 //! allocation, and the `O(k)` pool rebuild at a phase reset amortizes to
-//! `O(1)` per request because a phase spans at least `k` requests.
-//! [`RandomizedMarkingReference`] is the original form that collects the
-//! unmarked pages into a fresh `Vec` on every eviction. The two draw from
-//! the *same* uniform distribution but index differently-ordered arrays,
-//! so runs with equal seeds pick different (equally valid) victims —
-//! equivalence tests are therefore behavioral (victims always unmarked,
-//! seeded reproducibility, forced-choice traces identical) rather than
-//! byte-identical.
+//! `O(1)` per request because a phase spans at least `k` requests. A
+//! random policy has no deterministic oracle, so its tests are
+//! behavioral: every victim is unmarked under the marking key oracle's
+//! own mark state (`occ_oracle::MarkingSpec`), equal seeds reproduce a
+//! run, and where the victim is forced (`k = 1`) the run matches the
+//! marking oracle exactly.
 
 use crate::state_util::{corrupt, decode_rng, PageDecoder};
 use occ_sim::{EngineCtx, PageId, PolicyState, ReplacementPolicy, SnapshotError};
@@ -177,68 +175,6 @@ impl ReplacementPolicy for RandomizedMarking {
     }
 }
 
-/// The original collect-then-sample randomized marking (a fresh `Vec`
-/// per eviction), retained as the behavioral oracle and benchmark
-/// baseline for [`RandomizedMarking`].
-#[derive(Debug)]
-pub struct RandomizedMarkingReference {
-    seed: u64,
-    rng: StdRng,
-    marked: Vec<bool>,
-}
-
-impl RandomizedMarkingReference {
-    /// Create with an explicit RNG seed.
-    pub fn new(seed: u64) -> Self {
-        RandomizedMarkingReference {
-            seed,
-            rng: StdRng::seed_from_u64(seed),
-            marked: Vec::new(),
-        }
-    }
-
-    fn mark(&mut self, ctx: &EngineCtx, page: PageId) {
-        let n = ctx.universe.num_pages() as usize;
-        if self.marked.len() < n {
-            self.marked.resize(n, false);
-        }
-        self.marked[page.index()] = true;
-    }
-}
-
-impl ReplacementPolicy for RandomizedMarkingReference {
-    fn name(&self) -> String {
-        "rand-marking-reference".into()
-    }
-
-    fn on_hit(&mut self, ctx: &EngineCtx, page: PageId) {
-        self.mark(ctx, page);
-    }
-
-    fn on_insert(&mut self, ctx: &EngineCtx, page: PageId) {
-        self.mark(ctx, page);
-    }
-
-    fn choose_victim(&mut self, ctx: &EngineCtx, _incoming: PageId) -> PageId {
-        if ctx.cache.iter().all(|p| self.marked[p.index()]) {
-            for p in ctx.cache.iter() {
-                self.marked[p.index()] = false;
-            }
-        }
-        let unmarked: Vec<PageId> = ctx
-            .cache
-            .iter()
-            .filter(|p| !self.marked[p.index()])
-            .collect();
-        unmarked[self.rng.gen_range(0..unmarked.len())]
-    }
-
-    fn reset(&mut self) {
-        self.rng = StdRng::seed_from_u64(self.seed);
-        self.marked.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,9 +241,9 @@ mod tests {
     #[test]
     fn forced_choices_match_reference_exactly() {
         // With k=1 the unmarked pool always has exactly one entry at each
-        // eviction, so both implementations are forced to the same victim
-        // and consume one RNG draw per eviction: the eviction sequences
-        // must be byte-identical despite the differing pool layouts.
+        // eviction, so the random draw is forced to the one victim the
+        // deterministic marking oracle picks: the eviction sequences
+        // must be byte-identical.
         let u = Universe::single_user(7);
         let pages: Vec<u32> = (0..500u32).map(|i| (i * 3 + 2) % 7).collect();
         let trace = Trace::from_page_indices(&u, &pages);
@@ -319,35 +255,10 @@ mod tests {
             .eviction_sequence();
         let b = Simulator::new(1)
             .record_events(true)
-            .run(&mut RandomizedMarkingReference::new(42), &trace)
+            .run(&mut occ_oracle::marking(), &trace)
             .events
             .unwrap()
             .eviction_sequence();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn same_miss_profile_shape_as_reference() {
-        // Pool layout changes which victim a given draw picks, but both
-        // sample uniformly from the same unmarked set: averaged over seeds
-        // the miss counts on a fixed cycle should be close.
-        let u = Universe::single_user(5);
-        let pages: Vec<u32> = (0..2_000u32).map(|i| i % 5).collect();
-        let trace = Trace::from_page_indices(&u, &pages);
-        let avg = |mk: &dyn Fn(u64) -> Box<dyn ReplacementPolicy>| -> u64 {
-            let mut total = 0;
-            for seed in 0..8 {
-                let mut policy = mk(seed);
-                total += Simulator::new(4).run(&mut policy, &trace).total_misses();
-            }
-            total / 8
-        };
-        let fast = avg(&|s| Box::new(RandomizedMarking::new(s)));
-        let reference = avg(&|s| Box::new(RandomizedMarkingReference::new(s)));
-        let diff = fast.abs_diff(reference);
-        assert!(
-            diff < 300,
-            "distributions diverged: fast {fast} vs reference {reference}"
-        );
     }
 }

@@ -6,10 +6,7 @@
 //! Figure 3 `DiscreteReference` degrades with `k` (its `O(k)` sweeps).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use occ_baselines::{
-    Fifo, FifoReference, GreedyDual, Lru, LruK, LruKReference, LruReference, Marking,
-    MarkingReference, RandomizedMarking, RandomizedMarkingReference,
-};
+use occ_baselines::{Fifo, GreedyDual, Lru, LruK, Marking};
 use occ_core::{ConvexCaching, CostProfile, DiscreteReference, Monomial};
 use occ_sim::{ReplacementPolicy, Simulator, Trace};
 use occ_workloads::{generate_multi_tenant, zipf_trace, AccessPattern, TenantSpec};
@@ -47,9 +44,9 @@ fn bench_policies_vs_k(c: &mut Criterion) {
     group.finish();
 }
 
-/// Each `O(1)`/`O(log k)` default policy against its retained reference
-/// implementation, on the same trace: the measured gap is the payoff of
-/// the intrusive-list / dense-pool / flat-ring ports.
+/// Each deterministic `O(1)`/`O(log k)` policy against its `O(k)`-scan
+/// key oracle, on the same trace: the measured gap is the payoff of the
+/// intrusive-list / flat-ring structures over a cache scan per eviction.
 fn bench_fast_vs_reference(c: &mut Criterion) {
     let len = 50_000usize;
     let mut group = c.benchmark_group("fast_vs_reference");
@@ -57,14 +54,10 @@ fn bench_fast_vs_reference(c: &mut Criterion) {
     for &k in &[256usize, 4096] {
         let trace = zipf_trace(4 * k as u32, len, 0.9, 11);
         let mut pairs: Vec<(Box<dyn ReplacementPolicy>, Box<dyn ReplacementPolicy>)> = vec![
-            (Box::new(Lru::new()), Box::new(LruReference::new())),
-            (Box::new(Fifo::new()), Box::new(FifoReference::new())),
-            (Box::new(Marking::new()), Box::new(MarkingReference::new())),
-            (Box::new(LruK::new(2)), Box::new(LruKReference::new(2))),
-            (
-                Box::new(RandomizedMarking::new(7)),
-                Box::new(RandomizedMarkingReference::new(7)),
-            ),
+            (Box::new(Lru::new()), Box::new(occ_oracle::lru())),
+            (Box::new(Fifo::new()), Box::new(occ_oracle::fifo())),
+            (Box::new(Marking::new()), Box::new(occ_oracle::marking())),
+            (Box::new(LruK::new(2)), Box::new(occ_oracle::lru_k(2))),
         ];
         for (fast, reference) in &mut pairs {
             let fast_name = fast.name();

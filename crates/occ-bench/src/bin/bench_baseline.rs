@@ -11,8 +11,10 @@
 //!
 //! Matrix (fixed on purpose — comparable across commits):
 //!
-//! * policies: `lru`, `lru-reference`, `fifo`, `marking`, `greedy-dual`,
-//!   `alg-discrete` (the paper's ConvexCaching on its convex fast path);
+//! * policies: `lru`, `lru-reference` (the naive anchor: the `O(k)`-scan
+//!   LRU key oracle of `occ-oracle`, its misses asserted equal to
+//!   `lru`'s), `fifo`, `marking`, `greedy-dual`, `alg-discrete` (the
+//!   paper's ConvexCaching on its convex fast path);
 //! * cache sizes: `k = 1024` and `k = 4096`, universe `4k` pages;
 //! * workloads: single-user Zipf(0.9) and a 4-tenant Zipf(0.8) mix.
 //!
@@ -72,7 +74,7 @@
 //! delta gate cancels host-speed waves instead of flapping with them.
 
 use occ_analysis::policies::{self, Build};
-use occ_baselines::{Fifo, GreedyDual, Lru, LruReference};
+use occ_baselines::{Fifo, GreedyDual, Lru};
 use occ_core::{ConvexCaching, CostProfile, Monomial};
 use occ_fleet::{run_fleet_typed, run_shared_fleet, FleetConfig, SharedConfig};
 use occ_probe::{Json, MetricsRecorder};
@@ -166,12 +168,13 @@ fn workloads(k: usize) -> Vec<Workload> {
 
 /// Build the policy behind a bench label through the registry
 /// (`alg-discrete` is an alias of `convex`) under uniform quadratic
-/// costs; `lru-reference` is the bench's own reference twin.
+/// costs; `lru-reference` is the naive anchor, the `O(k)`-scan LRU key
+/// oracle.
 fn boxed_policy(label: &str, num_users: u32) -> Box<dyn ReplacementPolicy> {
     let costs = CostProfile::uniform(num_users, Monomial::power(2.0));
     match policies::find(label).map(|e| e.build) {
         Ok(Build::Online(make)) => make(&costs),
-        _ if label == "lru-reference" => Box::new(LruReference::new()),
+        _ if label == "lru-reference" => Box::new(occ_oracle::lru()),
         _ => panic!("bench label {label} is not an online registry policy"),
     }
 }
@@ -948,6 +951,16 @@ fn main() {
                 } else {
                     measure(&mut policy, &wl, k)
                 };
+                if label == "lru-reference" {
+                    let lru = scalar_misses
+                        .iter()
+                        .find(|(p, w, ck, _)| p == "lru" && w == wl.name && *ck == k);
+                    assert_eq!(
+                        lru.map(|c| c.3),
+                        Some(m.misses),
+                        "lru-reference misses diverged from lru"
+                    );
+                }
                 scalar_misses.push((label.to_string(), wl.name.to_string(), k, m.misses));
                 let delta = delta_text(
                     &committed,

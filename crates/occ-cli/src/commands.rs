@@ -327,17 +327,16 @@ pub fn generate(args: &Args) -> Result<(), CliError> {
     let out = args.str("out");
     let format = args.str("format");
     let trace = scenario.trace(args.val("len"), args.val("seed"));
-    // Render in memory, then land on disk atomically: a crash or full
-    // disk mid-generate leaves the old trace (or nothing), never a
-    // half-written one. Binary traces additionally carry the occbin01
-    // (or occbin02) checksum footer the writer appends.
-    let mut buf = Vec::new();
-    match format {
-        "text" => write_trace(&trace, &mut buf)?,
-        "binary" => write_trace_binary(&trace, &mut buf)?,
-        _ => write_trace_binary_v2(&trace, &mut buf)?,
-    }
-    write_atomic(Path::new(out), &buf).map_err(|e| CliError::Io(format!("write {out}: {e}")))?;
+    // Binary traces carry the occbin01 (or occbin02) checksum footer the
+    // writer appends.
+    write_streamed(out, |w| {
+        match format {
+            "text" => write_trace(&trace, w),
+            "binary" => write_trace_binary(&trace, w),
+            _ => write_trace_binary_v2(&trace, w),
+        }
+        .map_err(write_err(out))
+    })?;
     println!(
         "wrote {} requests over {} pages / {} users to {out} ({format})",
         trace.len(),
@@ -543,45 +542,55 @@ fn trace_transcode(args: &Args, pack: bool) -> Result<(), CliError> {
         Ok(f) => f,
         Err(CliError::Parse(_)) => {
             // Not binary and not CSV — maybe the v1 text format. Parse
-            // it whole and re-serve it as runs.
+            // it whole and write it out.
             let file =
                 File::open(in_path).map_err(|e| CliError::Io(format!("open {in_path}: {e}")))?;
             let trace = read_trace_auto(BufReader::new(file)).map_err(|e| feed_err(in_path, e))?;
-            let mut buf = Vec::new();
-            if pack {
-                write_trace_binary_v2(&trace, &mut buf)?;
-            } else {
-                write_trace_binary(&trace, &mut buf)?;
-            }
-            return finish_transcode(in_path, out_path, buf, trace.len() as u64, pack);
+            write_streamed(out_path, |w| {
+                if pack {
+                    write_trace_binary_v2(&trace, w)
+                } else {
+                    write_trace_binary(&trace, w)
+                }
+                .map_err(write_err(out_path))
+            })?;
+            return report_transcode(in_path, out_path, trace.len() as u64, pack);
         }
         Err(e) => return Err(e),
     };
     let total = feed.total_requests();
     let keep = if limit == 0 { total } else { limit.min(total) };
-    let universe = RequestSource::universe(&feed).clone();
+    write_feed(&mut feed, keep, in_path, out_path, pack)?;
+    report_transcode(in_path, out_path, keep, pack)
+}
 
-    // Render to memory, then land atomically (same discipline as
-    // `occ generate`); the read side still streams in chunk-sized runs.
-    let mut served = 0u64;
-    let buf = if pack {
-        let mut w = Binary2TraceWriter::new(universe, keep, Vec::new())?;
-        copy_requests(&mut feed, keep, &mut served, |req| w.push(req))?;
-        w.finish()?
-    } else {
-        let mut w = BinaryTraceWriter::new(universe, std::io::Cursor::new(Vec::new()))?;
-        copy_requests(&mut feed, keep, &mut served, |req| w.push(req))?;
-        w.finish()?.into_inner()
-    };
-    if let Some(e) = feed.error() {
-        return Err(feed_err(in_path, TraceIoError::Parse(e.to_string())));
-    }
-    if served != keep {
-        return Err(CliError::Parse(format!(
-            "{in_path}: trace ended after {served} of {keep} requests"
-        )));
-    }
-    finish_transcode(in_path, out_path, buf, keep, pack)
+/// Stream the first `keep` requests of `feed` into an occbin01 file at
+/// `out_path` (occbin02 if `v2`). The read side moves chunk-sized runs,
+/// the write side goes straight into the temp file, which lands only
+/// once every request is copied and the feed reports no error.
+fn write_feed(
+    feed: &mut Feed,
+    keep: u64,
+    in_path: &str,
+    out_path: &str,
+    v2: bool,
+) -> Result<(), CliError> {
+    let universe = RequestSource::universe(feed).clone();
+    write_streamed(out_path, |file| {
+        let werr = write_err(out_path);
+        let mut w = TraceWriter::new(v2, universe, keep, file).map_err(&werr)?;
+        let mut served = 0u64;
+        copy_requests(feed, keep, &mut served, |req| w.push(req).map_err(&werr))?;
+        if let Some(e) = feed.error() {
+            return Err(feed_err(in_path, TraceIoError::Parse(e.to_string())));
+        }
+        if served != keep {
+            return Err(CliError::Parse(format!(
+                "{in_path}: trace ended after {served} of {keep} requests"
+            )));
+        }
+        w.finish().map_err(&werr)
+    })
 }
 
 /// Pull up to `keep` requests out of `feed` in runs and hand each to
@@ -590,7 +599,7 @@ fn copy_requests(
     feed: &mut Feed,
     keep: u64,
     served: &mut u64,
-    mut push: impl FnMut(Request) -> Result<(), TraceIoError>,
+    mut push: impl FnMut(Request) -> Result<(), CliError>,
 ) -> Result<(), CliError> {
     const RUN: usize = 64 * 1024;
     while *served < keep {
@@ -640,18 +649,15 @@ fn copy_requests(
     Ok(())
 }
 
-/// Write the transcoded bytes atomically and report the size change.
-fn finish_transcode(
+/// Report a finished transcode and its size change.
+fn report_transcode(
     in_path: &str,
     out_path: &str,
-    buf: Vec<u8>,
     requests: u64,
     pack: bool,
 ) -> Result<(), CliError> {
-    let in_size = std::fs::metadata(in_path).map(|m| m.len()).unwrap_or(0);
-    let out_size = buf.len() as u64;
-    write_atomic(Path::new(out_path), &buf)
-        .map_err(|e| CliError::Io(format!("write {out_path}: {e}")))?;
+    let in_size = file_size(in_path);
+    let out_size = file_size(out_path);
     let verb = if pack { "packed" } else { "unpacked" };
     let ratio = if in_size > 0 {
         format!("{:.2}x", out_size as f64 / in_size as f64)
@@ -662,6 +668,59 @@ fn finish_transcode(
         "{verb} {requests} requests: {in_path} ({in_size} B) -> {out_path} ({out_size} B, {ratio})"
     );
     Ok(())
+}
+
+/// The size of the file at `path`, or 0 if it cannot be read.
+fn file_size(path: &str) -> u64 {
+    std::fs::metadata(path).map(|m| m.len()).unwrap_or(0)
+}
+
+/// Stream a file to `path` through an [`AtomicWriter`]: `fill` writes
+/// the body, and the file lands only if `fill` succeeds.
+fn write_streamed(
+    path: &str,
+    fill: impl FnOnce(&mut AtomicWriter) -> Result<(), CliError>,
+) -> Result<(), CliError> {
+    let ioerr = |e: std::io::Error| CliError::Io(format!("write {path}: {e}"));
+    let mut w = AtomicWriter::create(Path::new(path)).map_err(ioerr)?;
+    fill(&mut w)?;
+    w.commit_without_trailer().map_err(ioerr)
+}
+
+/// Classify a trace writer's failure while it writes `path`.
+fn write_err(path: &str) -> impl Fn(TraceIoError) -> CliError + '_ {
+    move |e| feed_err(&format!("write {path}"), e)
+}
+
+/// An occbin01 or occbin02 writer, both of which promise their request
+/// count up front.
+enum TraceWriter<W: std::io::Write> {
+    V1(BinaryTraceWriter<W>),
+    V2(Binary2TraceWriter<W>),
+}
+
+impl<W: std::io::Write> TraceWriter<W> {
+    fn new(v2: bool, universe: Universe, count: u64, sink: W) -> Result<Self, TraceIoError> {
+        Ok(if v2 {
+            TraceWriter::V2(Binary2TraceWriter::new(universe, count, sink)?)
+        } else {
+            TraceWriter::V1(BinaryTraceWriter::new(universe, count, sink)?)
+        })
+    }
+
+    fn push(&mut self, req: Request) -> Result<(), TraceIoError> {
+        match self {
+            TraceWriter::V1(w) => w.push(req),
+            TraceWriter::V2(w) => w.push(req),
+        }
+    }
+
+    fn finish(self) -> Result<(), TraceIoError> {
+        match self {
+            TraceWriter::V1(w) => w.finish().map(drop),
+            TraceWriter::V2(w) => w.finish().map(drop),
+        }
+    }
 }
 
 /// `occ trace import` — CSV → binary trace + recorded key dictionary.
@@ -676,31 +735,17 @@ fn trace_import(args: &Args) -> Result<(), CliError> {
     let tenants = Some(args.val::<u32>("tenants")).filter(|&t| t > 0);
     let format = args.str("format");
 
-    let mut csv =
+    let csv =
         CsvAdapter::open(Path::new(in_path), flavor, tenants).map_err(|e| feed_err(in_path, e))?;
     let universe = RequestSource::universe(&csv).clone();
     let total = csv.total_requests();
-
-    let buf = if format == "binary" {
-        let mut w = BinaryTraceWriter::new(universe.clone(), std::io::Cursor::new(Vec::new()))?;
-        while let Some(req) = csv.pull() {
-            w.push(req)?;
-        }
-        w.finish()?.into_inner()
-    } else {
-        let mut w = Binary2TraceWriter::new(universe.clone(), total, Vec::new())?;
-        while let Some(req) = csv.pull() {
-            w.push(req)?;
-        }
-        w.finish()?
+    let mut feed = Feed::Csv(Box::new(csv));
+    write_feed(&mut feed, total, in_path, out_path, format != "binary")?;
+    let Feed::Csv(csv) = feed else {
+        unreachable!("the feed was built from the csv adapter")
     };
-    if let Some(e) = csv.error() {
-        return Err(feed_err(in_path, TraceIoError::Parse(e.to_string())));
-    }
     let mut dict_buf = Vec::new();
     csv.key_dict().write_to(&mut dict_buf)?;
-    write_atomic(Path::new(out_path), &buf)
-        .map_err(|e| CliError::Io(format!("write {out_path}: {e}")))?;
     write_atomic(Path::new(&dict_path), &dict_buf)
         .map_err(|e| CliError::Io(format!("write {dict_path}: {e}")))?;
     println!(
@@ -709,7 +754,7 @@ fn trace_import(args: &Args) -> Result<(), CliError> {
         universe.num_pages(),
         universe.num_users(),
         csv.flavor().name(),
-        buf.len(),
+        file_size(out_path),
         csv.key_dict().len(),
     );
     Ok(())

@@ -5,7 +5,7 @@
 //! misspelled or foreign flag in every command (naming the nearest
 //! flag), and a bad value that must stop a command before it writes
 //! anything. `--help` prints the usage and exits 0. And `occ observe
-//! --out` replaces its report atomically.
+//! --out` and `occ trace unpack` replace their files atomically.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -85,6 +85,62 @@ fn observe_report_cut_short_keeps_the_previous_report() {
         std::fs::read(&report).unwrap(),
         previous,
         "the previous report is untouched"
+    );
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn trace_unpack_cut_short_keeps_the_previous_file() {
+    let packed = tmp("unpack-in.occbin02");
+    let unpacked = tmp("unpack-out.occbin01");
+    let generate = |seed: &str| {
+        let out = occ(&[
+            "generate",
+            "--scenario",
+            "two-tier",
+            "--len",
+            "3000",
+            "--seed",
+            seed,
+            "--format",
+            "binary-v2",
+            "--out",
+            packed.to_str().unwrap(),
+        ]);
+        assert!(out.status.success(), "{out:?}");
+    };
+    let unpack = [
+        "trace",
+        "unpack",
+        "--in",
+        packed.to_str().unwrap(),
+        "--out",
+        unpacked.to_str().unwrap(),
+    ];
+    generate("5");
+    let out = occ(&unpack);
+    assert!(out.status.success(), "{out:?}");
+    let previous = std::fs::read(&unpacked).unwrap();
+    assert!(previous.len() > 2048, "the trace outgrows the limit below");
+
+    // A new input, then an unpack cut short by a 1 KiB file-size limit
+    // (SIGXFSZ ignored, so the write fails with EFBIG).
+    generate("6");
+    let out = Command::new("sh")
+        .args(["-c", "trap '' XFSZ; ulimit -f 2; exec \"$0\" \"$@\""])
+        .arg(env!("CARGO_BIN_EXE_occ"))
+        .args(unpack)
+        .output()
+        .expect("run occ under sh");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "stderr: {stderr}");
+    assert!(stderr.contains("write"), "stderr: {stderr}");
+    let tmp_file = unpacked.with_file_name("unpack-out.occbin01.tmp");
+    assert!(!tmp_file.exists(), "the torn temp file is removed");
+    assert_eq!(
+        std::fs::read(&unpacked).unwrap(),
+        previous,
+        "the previous trace is untouched"
     );
 }
 

@@ -28,9 +28,8 @@
 //! readers verify it when present (a payload whose CRC-32 disagrees with
 //! the footer is a parse error, exit 4 at the CLI). Traces written before
 //! the footer existed have nothing after the last request and stay
-//! accepted. The checksum covers the request-id bytes only — the header's
-//! request count is patched after the payload by the incremental writer,
-//! so including it would force a second pass over the file.
+//! accepted. The checksum covers the request-id bytes only; the header
+//! is validated field by field as it is parsed.
 
 use crate::checksum::Crc32;
 use crate::engine::EngineCtx;
@@ -39,7 +38,7 @@ use crate::source::{RequestSource, SeekableSource};
 use crate::textio::TraceIoError;
 use crate::trace::{Request, Trace, TraceBuilder, Universe};
 use std::fs::File;
-use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::path::Path;
 
 /// First eight bytes of every binary trace.
@@ -161,32 +160,12 @@ fn verify_footer_probe(foot: &[u8], payload_crc: u32) -> Result<(), TraceIoError
 }
 
 /// Write an entire in-memory `trace` in the binary format.
-pub fn write_trace_binary<W: Write>(trace: &Trace, mut w: W) -> Result<(), TraceIoError> {
-    let universe = trace.universe();
-    w.write_all(&BINARY_TRACE_MAGIC)?;
-    w.write_all(&universe.num_users().to_le_bytes())?;
-    w.write_all(&universe.num_pages().to_le_bytes())?;
-    let mut buf = Vec::with_capacity(4 * CHUNK_IDS);
-    for chunk in universe.owners().chunks(CHUNK_IDS) {
-        buf.clear();
-        for &u in chunk {
-            buf.extend_from_slice(&u.0.to_le_bytes());
-        }
-        w.write_all(&buf)?;
+pub fn write_trace_binary<W: Write>(trace: &Trace, w: W) -> Result<(), TraceIoError> {
+    let mut writer = BinaryTraceWriter::new(trace.universe().clone(), trace.len() as u64, w)?;
+    for &req in trace.requests() {
+        writer.push(req)?;
     }
-    w.write_all(&(trace.len() as u64).to_le_bytes())?;
-    let mut crc = Crc32::new();
-    for chunk in trace.requests().chunks(CHUNK_IDS) {
-        buf.clear();
-        for r in chunk {
-            buf.extend_from_slice(&r.page.0.to_le_bytes());
-        }
-        crc.update(&buf);
-        w.write_all(&buf)?;
-    }
-    w.write_all(&BINARY_TRACE_FOOTER_MAGIC)?;
-    w.write_all(&crc.value().to_le_bytes())?;
-    Ok(())
+    writer.finish().map(drop)
 }
 
 /// Read a whole binary trace into memory. For traces that do not fit,
@@ -236,22 +215,23 @@ pub fn read_trace_auto<R: BufRead>(mut r: R) -> Result<Trace, TraceIoError> {
     }
 }
 
-/// Incremental binary-trace writer for streams whose length is not known
-/// up front: the request count is written as a placeholder and patched on
-/// [`finish`](Self::finish) (which is why the sink must be [`Seek`]).
-pub struct BinaryTraceWriter<W: Write + Seek> {
+/// Incremental binary-trace writer. The request count is promised up
+/// front and written into the header, so the file streams straight to
+/// its sink with no seek back; [`finish`](Self::finish) fails if the
+/// promise was not kept.
+pub struct BinaryTraceWriter<W: Write> {
     sink: W,
     universe: Universe,
-    count_offset: u64,
+    promised: u64,
     written: u64,
     buf: Vec<u8>,
     crc: Crc32,
 }
 
-impl<W: Write + Seek> BinaryTraceWriter<W> {
-    /// Write the header for `universe` and return a writer ready to
-    /// accept requests.
-    pub fn new(universe: Universe, mut sink: W) -> Result<Self, TraceIoError> {
+impl<W: Write> BinaryTraceWriter<W> {
+    /// Write the header for `universe`, promising exactly `count`
+    /// requests, and return a writer ready to accept them.
+    pub fn new(universe: Universe, count: u64, mut sink: W) -> Result<Self, TraceIoError> {
         sink.write_all(&BINARY_TRACE_MAGIC)?;
         sink.write_all(&universe.num_users().to_le_bytes())?;
         sink.write_all(&universe.num_pages().to_le_bytes())?;
@@ -263,22 +243,22 @@ impl<W: Write + Seek> BinaryTraceWriter<W> {
             }
             sink.write_all(&buf)?;
         }
-        let count_offset = sink.stream_position()?;
-        sink.write_all(&0u64.to_le_bytes())?;
+        sink.write_all(&count.to_le_bytes())?;
         buf.clear();
         Ok(BinaryTraceWriter {
             sink,
             universe,
-            count_offset,
+            promised: count,
             written: 0,
             buf,
             crc: Crc32::new(),
         })
     }
 
-    /// Append one request. Rejects pages outside the universe and owner
+    /// Append one request. Rejects pages outside the universe, owner
     /// claims that disagree with it (the same invariant [`Trace::new`]
-    /// enforces, as a typed error instead of a panic).
+    /// enforces, as a typed error instead of a panic), and pushes past
+    /// the promised count.
     pub fn push(&mut self, req: Request) -> Result<(), TraceIoError> {
         match self.universe.try_owner(req.page) {
             None => {
@@ -295,6 +275,12 @@ impl<W: Write + Seek> BinaryTraceWriter<W> {
             }
             Some(_) => {}
         }
+        if self.written == self.promised {
+            return Err(parse_err(format!(
+                "more requests than the promised {}",
+                self.promised
+            )));
+        }
         let id = req.page.0.to_le_bytes();
         self.crc.update(&id);
         self.buf.extend_from_slice(&id);
@@ -306,21 +292,19 @@ impl<W: Write + Seek> BinaryTraceWriter<W> {
         Ok(())
     }
 
-    /// Flush buffered requests, append the checksum footer, patch the
-    /// request count into the header, and return the sink. Dropping the
-    /// writer without calling this leaves a file whose header promises
-    /// zero requests.
+    /// Flush buffered requests, append the checksum footer, and return
+    /// the sink. Errors if fewer requests were pushed than promised (the
+    /// header already claims the promised count, so the file would lie).
     pub fn finish(mut self) -> Result<W, TraceIoError> {
-        if !self.buf.is_empty() {
-            self.sink.write_all(&self.buf)?;
-            self.buf.clear();
+        if self.written != self.promised {
+            return Err(parse_err(format!(
+                "promised {} requests but {} were pushed",
+                self.promised, self.written
+            )));
         }
+        self.sink.write_all(&self.buf)?;
         self.sink.write_all(&BINARY_TRACE_FOOTER_MAGIC)?;
         self.sink.write_all(&self.crc.value().to_le_bytes())?;
-        let end = self.sink.stream_position()?;
-        self.sink.seek(SeekFrom::Start(self.count_offset))?;
-        self.sink.write_all(&self.written.to_le_bytes())?;
-        self.sink.seek(SeekFrom::Start(end))?;
         self.sink.flush()?;
         Ok(self.sink)
     }
@@ -850,7 +834,6 @@ impl SeekableSource for BinarySource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
 
     fn sample() -> Trace {
         let u = Universe::uniform(2, 2);
@@ -896,18 +879,40 @@ mod tests {
         let mut whole = Vec::new();
         write_trace_binary(&t, &mut whole).unwrap();
 
-        let mut w = BinaryTraceWriter::new(t.universe().clone(), Cursor::new(Vec::new())).unwrap();
+        let mut w =
+            BinaryTraceWriter::new(t.universe().clone(), t.len() as u64, Vec::new()).unwrap();
         for &r in t.requests() {
             w.push(r).unwrap();
         }
-        let streamed = w.finish().unwrap().into_inner();
+        let streamed = w.finish().unwrap();
         assert_eq!(streamed, whole);
+    }
+
+    #[test]
+    fn incremental_writer_keeps_its_promised_count() {
+        let t = sample();
+        let n = t.len() as u64;
+        let mut short = BinaryTraceWriter::new(t.universe().clone(), n + 1, Vec::new()).unwrap();
+        for &r in t.requests() {
+            short.push(r).unwrap();
+        }
+        let err = short.finish().unwrap_err();
+        assert!(matches!(err, TraceIoError::Parse(_)), "{err}");
+        assert!(err.to_string().contains("were pushed"), "{err}");
+
+        let mut over = BinaryTraceWriter::new(t.universe().clone(), n, Vec::new()).unwrap();
+        for &r in t.requests() {
+            over.push(r).unwrap();
+        }
+        let err = over.push(t.requests()[0]).unwrap_err();
+        assert!(matches!(err, TraceIoError::Parse(_)), "{err}");
+        assert!(err.to_string().contains("promised"), "{err}");
     }
 
     #[test]
     fn incremental_writer_validates_requests() {
         let u = Universe::uniform(2, 2);
-        let mut w = BinaryTraceWriter::new(u.clone(), Cursor::new(Vec::new())).unwrap();
+        let mut w = BinaryTraceWriter::new(u.clone(), 2, Vec::new()).unwrap();
         let err = w
             .push(Request {
                 page: PageId(99),

@@ -274,23 +274,12 @@ fn encode_header(universe: &Universe, count: u64) -> Vec<u8> {
 }
 
 /// Write an entire in-memory `trace` in the packed format.
-pub fn write_trace_binary_v2<W: Write>(trace: &Trace, mut w: W) -> Result<(), TraceIoError> {
-    w.write_all(&encode_header(trace.universe(), trace.len() as u64))?;
-    let mut crc = Crc32::new();
-    let mut buf = Vec::new();
-    let mut pages = Vec::with_capacity(CHUNK_REQS.min(trace.len()));
-    let mut prev: i64 = 0;
-    for reqs in trace.requests().chunks(CHUNK_REQS) {
-        pages.clear();
-        pages.extend(reqs.iter().map(|r| r.page.0));
-        buf.clear();
-        encode_chunk(&mut buf, &pages, &mut prev);
-        crc.update(&buf);
-        w.write_all(&buf)?;
+pub fn write_trace_binary_v2<W: Write>(trace: &Trace, w: W) -> Result<(), TraceIoError> {
+    let mut writer = Binary2TraceWriter::new(trace.universe().clone(), trace.len() as u64, w)?;
+    for &req in trace.requests() {
+        writer.push(req)?;
     }
-    w.write_all(&BINARY2_TRACE_FOOTER_MAGIC)?;
-    w.write_all(&crc.value().to_le_bytes())?;
-    Ok(())
+    writer.finish().map(drop)
 }
 
 /// Read a whole packed trace into memory. For traces that do not fit,

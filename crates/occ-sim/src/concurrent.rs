@@ -62,7 +62,7 @@
 //! sequence — which holds for the intrusive-list policies this engine
 //! supports (LRU, FIFO, greedy-dual): they read `ctx.universe` (owner
 //! table, page count) and nothing else. Policies that scan `ctx.cache`
-//! (e.g. the self-cleaning `FifoReference`) or read `ctx.stats` /
+//! (e.g. the key oracles of `occ-oracle`) or read `ctx.stats` /
 //! `ctx.time` (the convex-cost family) are **not** shard-safe and must
 //! not be handed to [`ConcurrentEngine`].
 

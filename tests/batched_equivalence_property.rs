@@ -11,10 +11,7 @@
 //! `step_checked` loop's fault counters and quarantine sets on corrupt
 //! request streams.
 
-use occ_baselines::{
-    Fifo, FifoReference, GreedyDual, Lru, LruK, LruKReference, LruReference, Marking,
-    RandomizedMarking,
-};
+use occ_baselines::{Fifo, GreedyDual, Lru, LruK, Marking, RandomizedMarking};
 use occ_core::{ConvexCaching, CostProfile, Monomial};
 use occ_sim::{
     FaultHandler, FaultPolicy, PageId, ReplacementPolicy, Request, SimEvent, SteppingEngine, Trace,
@@ -26,12 +23,12 @@ fn policy_suite(num_users: u32) -> Vec<Box<dyn ReplacementPolicy>> {
     let costs = CostProfile::uniform(num_users, Monomial::power(2.0));
     vec![
         Box::new(Lru::new()),
-        Box::new(LruReference::new()),
+        Box::new(occ_oracle::lru()),
         Box::new(Fifo::new()),
-        Box::new(FifoReference::new()),
+        Box::new(occ_oracle::fifo()),
         Box::new(Marking::new()),
         Box::new(LruK::new(2)),
-        Box::new(LruKReference::new(2)),
+        Box::new(occ_oracle::lru_k(2)),
         Box::new(RandomizedMarking::new(7)),
         Box::new(ConvexCaching::new(costs)),
     ]

@@ -1,24 +1,23 @@
-//! Property tests pinning the optimized hot-path policies to their
-//! retained reference implementations.
+//! Property tests pinning the optimized hot-path policies to the key
+//! oracles of `occ-oracle`.
 //!
-//! Every `*Reference` twin is the original straightforward data
-//! structure (`BTreeSet`, `VecDeque`, per-eviction scans); the defaults
-//! run on intrusive recency lists, dense swap-remove pools, and flat
-//! history rings. For the deterministic policies the eviction sequences
-//! must be **byte-identical** on arbitrary traces and cache sizes.
-//! ALG-DISCRETE is additionally pinned on its *slow* path: a non-convex
-//! cost profile disables the intrusive-list fast path and must still
-//! reproduce the literal Figure 3 sweeps decision-for-decision.
+//! Each deterministic baseline is also stated as a few-line eviction key
+//! (`occ_oracle::KeySpec`) evaluated by one `O(k)` cache scan; the
+//! defaults run on intrusive recency lists, dense swap-remove pools, and
+//! flat history rings. Their eviction sequences must be
+//! **byte-identical** on arbitrary traces and cache sizes, and also when
+//! pages leave the cache from outside the policy. ALG-DISCRETE is
+//! additionally pinned on its *slow* path: a non-convex cost profile
+//! disables the intrusive-list fast path and must still reproduce the
+//! literal Figure 3 sweeps decision-for-decision.
 
-use occ_baselines::{
-    Fifo, FifoReference, GreedyDual, GreedyDualReference, Lru, LruK, LruKReference, LruReference,
-    Marking, MarkingReference, RandomizedMarking,
-};
+use occ_baselines::{Fifo, GreedyDual, Lru, LruK, Marking, RandomizedMarking};
 use occ_core::{
     ConvexCaching, CostFn, CostProfile, DiscreteReference, Linear, Marginals, Monomial,
     ThresholdCost,
 };
-use occ_sim::{ReplacementPolicy, Simulator, Trace, Universe};
+use occ_oracle::{KeySpec, MarkingSpec};
+use occ_sim::{EngineCtx, PageId, ReplacementPolicy, Simulator, SteppingEngine, Trace, Universe};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -54,7 +53,7 @@ proptest! {
         let trace = Trace::from_page_indices(&universe, &pages);
         prop_assert_eq!(
             evictions(&mut Lru::new(), &trace, k),
-            evictions(&mut LruReference::new(), &trace, k)
+            evictions(&mut occ_oracle::lru(), &trace, k)
         );
     }
 
@@ -63,7 +62,7 @@ proptest! {
         let trace = Trace::from_page_indices(&universe, &pages);
         prop_assert_eq!(
             evictions(&mut Fifo::new(), &trace, k),
-            evictions(&mut FifoReference::new(), &trace, k)
+            evictions(&mut occ_oracle::fifo(), &trace, k)
         );
     }
 
@@ -72,7 +71,7 @@ proptest! {
         let trace = Trace::from_page_indices(&universe, &pages);
         prop_assert_eq!(
             evictions(&mut Marking::new(), &trace, k),
-            evictions(&mut MarkingReference::new(), &trace, k)
+            evictions(&mut occ_oracle::marking(), &trace, k)
         );
     }
 
@@ -84,7 +83,7 @@ proptest! {
         let trace = Trace::from_page_indices(&universe, &pages);
         prop_assert_eq!(
             evictions(&mut LruK::new(depth), &trace, k),
-            evictions(&mut LruKReference::new(depth), &trace, k)
+            evictions(&mut occ_oracle::lru_k(depth), &trace, k)
         );
     }
 
@@ -96,7 +95,7 @@ proptest! {
         k in 2usize..=10,
     ) {
         // The flat-array Landlord (per-user recency lists, lazy
-        // `w_u + offset` keys) against the ordered-set reference:
+        // `w_u + offset` keys) against the key oracle:
         // byte-identical eviction sequences for arbitrary positive
         // weights, where key sums exercise float rounding.
         let total = users * pages_per;
@@ -107,7 +106,7 @@ proptest! {
         let trace = Trace::from_page_indices(&universe, &pages);
         prop_assert_eq!(
             evictions(&mut GreedyDual::new(weights.clone()), &trace, k),
-            evictions(&mut GreedyDualReference::new(weights), &trace, k)
+            evictions(&mut occ_oracle::greedy_dual(weights), &trace, k)
         );
     }
 
@@ -116,14 +115,128 @@ proptest! {
         (universe, pages, k) in arb_paging_instance(),
         seed in 0u64..1000,
     ) {
-        // The randomized policy is pinned behaviorally (the pool layout
-        // differs from the reference, so byte-identity is not defined):
-        // the engine asserts every victim is cached, and equal seeds must
+        // The randomized policy has no deterministic oracle, so it is
+        // pinned behaviorally: every victim must be unmarked under the
+        // marking key spec's own mark state, and equal seeds must
         // reproduce the run exactly.
         let trace = Trace::from_page_indices(&universe, &pages);
-        let a = evictions(&mut RandomizedMarking::new(seed), &trace, k);
+        let mut audited = Audited {
+            policy: RandomizedMarking::new(seed),
+            marks: MarkingSpec::default(),
+            marked_victims: 0,
+        };
+        let a = evictions(&mut audited, &trace, k);
         let b = evictions(&mut RandomizedMarking::new(seed), &trace, k);
         prop_assert_eq!(a, b);
+        prop_assert_eq!(audited.marked_victims, 0, "a marked page was evicted");
+    }
+
+    #[test]
+    fn fast_policies_match_oracles_under_external_removals(
+        (users, pages_per) in (1u32..=3, 2u32..=5),
+        raw_weights in proptest::collection::vec(0.01f64..100.0, 3),
+        page_seed in proptest::collection::vec(0u32..15, 30..300),
+        k in 1usize..=10,
+        depth in 1usize..=3,
+        gap in 1usize..=5,
+        drawn in proptest::collection::vec(0u32..15, 1..16),
+    ) {
+        // Every `gap` requests a drawn page leaves the cache from
+        // outside the policy, as in a pool migration or a quarantine.
+        // The oracle scans the live cache, so it is right by
+        // construction; the fast policy must unlink the page itself.
+        let total = users * pages_per;
+        let universe = Universe::uniform(users, pages_per);
+        let pages: Vec<u32> = page_seed.iter().map(|p| p % total).collect();
+        let trace = Trace::from_page_indices(&universe, &pages);
+        let k = k.min(total as usize - 1);
+        let removals = Removals { gap, pages: drawn.iter().map(|p| p % total).collect() };
+        let weights: Vec<f64> = raw_weights[..users as usize].to_vec();
+        prop_assert_eq!(
+            removals.run(Lru::new(), &trace, k),
+            removals.run(occ_oracle::lru(), &trace, k),
+            "lru"
+        );
+        prop_assert_eq!(
+            removals.run(Fifo::new(), &trace, k),
+            removals.run(occ_oracle::fifo(), &trace, k),
+            "fifo"
+        );
+        prop_assert_eq!(
+            removals.run(Marking::new(), &trace, k),
+            removals.run(occ_oracle::marking(), &trace, k),
+            "marking"
+        );
+        prop_assert_eq!(
+            removals.run(LruK::new(depth), &trace, k),
+            removals.run(occ_oracle::lru_k(depth), &trace, k),
+            "lru-{}", depth
+        );
+        prop_assert_eq!(
+            removals.run(GreedyDual::new(weights.clone()), &trace, k),
+            removals.run(occ_oracle::greedy_dual(weights), &trace, k),
+            "greedy-dual"
+        );
+    }
+}
+
+/// `RandomizedMarking` shadowed by the marking key spec, which sees the
+/// same touches and phase resets and counts victims it holds marked.
+struct Audited {
+    policy: RandomizedMarking,
+    marks: MarkingSpec,
+    marked_victims: usize,
+}
+
+impl ReplacementPolicy for Audited {
+    fn name(&self) -> String {
+        self.policy.name()
+    }
+
+    fn on_hit(&mut self, ctx: &EngineCtx, page: PageId) {
+        self.policy.on_hit(ctx, page);
+        self.marks.touch(ctx, page, true);
+    }
+
+    fn on_insert(&mut self, ctx: &EngineCtx, page: PageId) {
+        self.policy.on_insert(ctx, page);
+        self.marks.touch(ctx, page, false);
+    }
+
+    fn choose_victim(&mut self, ctx: &EngineCtx, incoming: PageId) -> PageId {
+        self.marks.before_victim(ctx);
+        let victim = self.policy.choose_victim(ctx, incoming);
+        self.marked_victims += usize::from(self.marks.key(victim).0);
+        victim
+    }
+}
+
+/// Eviction and removal sequences of one replay, as `(time, page)`.
+type Sequences = (Vec<(u64, u32)>, Vec<(u64, u32)>);
+
+/// External removals injected into a replay: after every `gap`-th
+/// request, the next page of `pages` (cycling) is removed if cached.
+struct Removals {
+    gap: usize,
+    pages: Vec<u32>,
+}
+
+impl Removals {
+    fn run<P: ReplacementPolicy>(&self, policy: P, trace: &Trace, k: usize) -> Sequences {
+        let mut engine = SteppingEngine::new(k, trace.universe().clone(), policy).with_events();
+        let mut drawn = self.pages.iter().cycle();
+        let mut removed = Vec::new();
+        for (t, req) in trace.iter() {
+            engine.step(req);
+            if t as usize % self.gap == self.gap - 1 {
+                let page = PageId(*drawn.next().expect("at least one drawn page"));
+                if engine.remove_externally(page) {
+                    removed.push((t, page.0));
+                }
+            }
+        }
+        let evicted = engine.take_events().unwrap().eviction_sequence();
+        (evicted.iter().map(|&(t, p)| (t, p.0)).collect(), removed)
     }
 }
 
